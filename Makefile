@@ -1,12 +1,12 @@
-# Convenience targets mirroring .github/workflows/ci.yml.
+# Every check CI runs, one target each: .github/workflows/ci.yml calls
+# these targets, so each command list exists only here.
 
 # Whole workspace except the vendored offline stubs under vendor/.
-EXCLUDE_VENDOR := --exclude criterion --exclude proptest --exclude rand \
-                  --exclude serde --exclude serde_derive
+EXCLUDE_VENDOR := --exclude criterion --exclude proptest --exclude rand
 
 .PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
 
-verify: fmt clippy build bench-check test kernel-smoke serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
+verify: fmt clippy build bench-check test kernel-smoke e13 serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
 
 fmt:
 	cargo fmt --all --check
@@ -33,11 +33,10 @@ e13:
 e14:
 	cargo run --release -p unintt-bench --bin harness -- --quick e14
 
-# Communication-overlap smoke: the chunked pipeline and its blocking
-# escape hatch must both run end to end.
+# Communication-overlap smoke: E15 sweeps the blocking and overlapped
+# exchange schedules side by side and checks the outputs agree.
 e15:
 	cargo run --release -p unintt-bench --bin harness -- --quick e15
-	cargo run --release -p unintt-bench --bin harness -- --quick --blocking-comm e15
 
 # Proving-service smoke: run the example and the E14 quick sweep.
 serve-smoke:
@@ -45,20 +44,24 @@ serve-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e14
 
 # Telemetry smoke: E16 writes trace.json/trace.folded/BENCH_obs.json and
-# validates the Chrome/Perfetto JSON before writing; the trace subcommand
-# exercises the generic per-experiment capture path.
+# validates the Chrome/Perfetto JSON before writing, so this fails on
+# any malformed trace; the trace subcommand exercises the generic
+# per-experiment capture path.
 trace-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e16
+	test -s target/traces/trace.json && test -s target/traces/trace.folded
+	test -s BENCH_obs.json
 	cargo run --release -p unintt-bench --bin harness -- --quick trace e12
+	test -s target/traces/trace_e12.json
 
-# Kernel smoke: the bit-identity property suite (vector vs scalar vs
-# legacy, portable vs native, both fields, both directions), then the
-# quick vector-kernel sweep on the detected backend and again pinned to
-# portable lanes. Fails if any kernel family's output moves by one bit.
+# Kernel smoke: the bit-identity property suite (the vector kernels on
+# the detected backend and on portable lanes, each against the legacy
+# radix-2 reference, both fields, both directions, log_n 1..=16), then
+# the quick E18 sweep of the vector kernels against that reference.
 kernel-smoke:
 	cargo test --release -p unintt-ntt --test shoup_properties
 	cargo run --release -p unintt-bench --bin harness -- --quick e18
-	cargo run --release -p unintt-bench --bin harness -- --quick --portable-lanes e18
+	test -s BENCH_ntt.json
 
 # Pipeline smoke: the DAG bit-identity proptests (DAG-scheduled proofs
 # vs monolithic across seeds, sizes and injected stage faults), then the
@@ -67,16 +70,22 @@ kernel-smoke:
 pipeline-smoke:
 	cargo test --release -p unintt-pipeline
 	cargo run --release -p unintt-bench --bin harness -- --quick e19
+	test -s BENCH_pipeline.json
 
 # Stream smoke: the intra-lease overlap suite (bit-identity across queue
 # counts, fault injection and the forced one-queue clock-identity check),
-# then the quick E20 cell twice — streamed, and pinned back to one queue
-# via --serial-streams. E20 itself asserts per-job digest identity
-# against the monolithic reference in every cell.
+# then the quick E20 cell, which sweeps k = 1..=4 queues per lease and
+# asserts per-job digest identity against the monolithic reference in
+# every cell. Rerunning E19 around it and comparing proves the
+# multi-queue scheduler leaves the serialized experiment byte-identical.
 stream-smoke:
 	cargo test --release -p unintt-serve --test stream_overlap
+	cargo run --release -p unintt-bench --bin harness -- --quick e19
+	mkdir -p target && cp BENCH_pipeline.json target/BENCH_pipeline.before.json
 	cargo run --release -p unintt-bench --bin harness -- --quick e20
-	cargo run --release -p unintt-bench --bin harness -- --quick --serial-streams e20
+	test -s BENCH_streams.json
+	cargo run --release -p unintt-bench --bin harness -- --quick e19
+	cmp BENCH_pipeline.json target/BENCH_pipeline.before.json
 
 # Chaos smoke: the fleet example plus the E17 quick sweep. E17 asserts
 # zero accepted-job failures and bit-identical outputs vs the fault-free
@@ -84,6 +93,7 @@ stream-smoke:
 chaos-smoke:
 	cargo run --release --example fleet_chaos
 	cargo run --release -p unintt-bench --bin harness -- --quick e17
+	test -s BENCH_resilience.json
 
 # SLO smoke: the quick E21 cell — burn-rate alerts must fire inside
 # every injected degradation window and never on the clean baseline
@@ -92,6 +102,7 @@ chaos-smoke:
 # workload classes. Also prints the attribution report.
 slo-smoke:
 	cargo run --release -p unintt-bench --bin harness -- --quick e21
+	test -s BENCH_slo.json
 	cargo run --release -p unintt-bench --bin harness -- attribute all
 
 # Perf-regression gate: rerun the experiment behind every committed

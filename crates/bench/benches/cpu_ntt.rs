@@ -79,29 +79,6 @@ fn bench_parallel(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_radix4(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cpu_ntt/radix4_vs_radix2/goldilocks_2^16");
-    group.sample_size(10);
-    let log_n = 16u32;
-    let ntt = Ntt::<Goldilocks>::new(log_n);
-    let input = random_vec::<Goldilocks>(1 << log_n, 2);
-    group.bench_function("radix2", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut data| ntt.forward(&mut data),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("radix4", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut data| ntt.forward_radix4(&mut data),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
-
 fn bench_bitrev(c: &mut Criterion) {
     // The table-driven bit-reversal permutation on its own: the dominant
     // non-arithmetic cost of the legacy path at large sizes.
@@ -126,25 +103,25 @@ fn bench_bitrev(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kernel_modes(c: &mut Criterion) {
-    // Legacy vs Shoup/six-step on the same size — the ratio the
-    // `bench-host` harness gate tracks, as a criterion entry.
-    use unintt_ntt::{set_kernel_mode, KernelMode};
-    let mut group = c.benchmark_group("cpu_ntt/kernel_modes/goldilocks_2^18");
+fn bench_legacy_vs_vector(c: &mut Criterion) {
+    // The radix-2 reference vs the host path on the same size — the
+    // ratio the `bench-host` harness gate tracks, as a criterion entry.
+    let mut group = c.benchmark_group("cpu_ntt/legacy_vs_vector/goldilocks_2^18");
     group.sample_size(10);
     let log_n = 18u32;
     let ntt = Ntt::<Goldilocks>::new(log_n);
     let input = random_vec::<Goldilocks>(1 << log_n, 4);
     group.bench_function("legacy", |b| {
-        set_kernel_mode(KernelMode::Legacy);
         b.iter_batched(
             || input.clone(),
-            |mut data| ntt.forward(&mut data),
+            |mut data| {
+                unintt_ntt::bit_reverse_permute(&mut data);
+                ntt.dit_in_place(&mut data);
+            },
             criterion::BatchSize::LargeInput,
-        );
-        set_kernel_mode(KernelMode::Fast);
+        )
     });
-    group.bench_function("shoup", |b| {
+    group.bench_function("vector", |b| {
         b.iter_batched(
             || input.clone(),
             |mut data| ntt.forward(&mut data),
@@ -159,8 +136,7 @@ criterion_group!(
     bench_serial_goldilocks,
     bench_serial_bn254,
     bench_parallel,
-    bench_radix4,
     bench_bitrev,
-    bench_kernel_modes
+    bench_legacy_vs_vector
 );
 criterion_main!(benches);

@@ -1,47 +1,16 @@
 //! Algorithm-variant wall-clock benches: the ablation data behind the
-//! design choices DESIGN.md calls out (kernel shape, digit encoding,
-//! hash-based commitment cost).
+//! design choices DESIGN.md calls out (digit encoding, hash-based
+//! commitment cost).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_ff::{Bn254Fr, Field, Goldilocks};
 use unintt_fri::{commit_trace, hash_elements, FriConfig, LdeBackend};
 use unintt_msm::{msm_signed_with_window, msm_with_window, G1Affine};
-use unintt_ntt::Ntt;
 
 fn random_vec<F: Field>(n: usize, seed: u64) -> Vec<F> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| F::random(&mut rng)).collect()
-}
-
-fn bench_ntt_variants(c: &mut Criterion) {
-    let mut group = c.benchmark_group("variants/ntt_kernels/goldilocks_2^16");
-    group.sample_size(10);
-    let log_n = 16u32;
-    let ntt = Ntt::<Goldilocks>::new(log_n);
-    let input = random_vec::<Goldilocks>(1 << log_n, 1);
-    group.bench_function("radix2_bitrev", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut v| ntt.forward(&mut v),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("radix4_fused", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut v| ntt.forward_radix4(&mut v),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("stockham_autosort", |b| {
-        b.iter_batched(
-            || input.clone(),
-            |mut v| ntt.forward_stockham(&mut v),
-            criterion::BatchSize::LargeInput,
-        )
-    });
-    group.finish();
 }
 
 fn bench_msm_digits(c: &mut Criterion) {
@@ -77,10 +46,5 @@ fn bench_hash_and_commit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    variant_benches,
-    bench_ntt_variants,
-    bench_msm_digits,
-    bench_hash_and_commit
-);
+criterion_group!(variant_benches, bench_msm_digits, bench_hash_and_commit);
 criterion_main!(variant_benches);

@@ -7,7 +7,7 @@ use unintt_bench::Table;
 use unintt_bench::{artifacts, perf_gate};
 
 const USAGE: &str = "\
-usage: harness [--quick] [--legacy-kernels] [--scalar-kernels] [--portable-lanes] [--blocking-comm] [--serial-streams] <experiment>...
+usage: harness [--quick] <experiment>...
        harness [--quick] [--trace-dir <path>] trace <experiment>...
        harness attribute <workload>
        harness perf-gate [<artifact>...]
@@ -26,23 +26,6 @@ usage: harness [--quick] [--legacy-kernels] [--scalar-kernels] [--portable-lanes
                     the committed baseline; exits non-zero on regression
   --trace-dir       where trace artifacts land (default: target/traces)
   --quick           trimmed sweeps (seconds instead of minutes)
-  --legacy-kernels  run all host NTTs on the original radix-2 DIT path
-                    instead of the vectorized default (A/B escape hatch;
-                    outputs are bit-identical either way)
-  --scalar-kernels  run all host NTTs on the scalar Shoup/six-step fast
-                    path instead of the vectorized default (A/B escape
-                    hatch; outputs are bit-identical either way)
-  --portable-lanes  keep the vectorized kernels but pin them to the
-                    portable lane path — no AVX2/AVX-512 intrinsics even
-                    where detected (outputs are bit-identical either way)
-  --blocking-comm   pin every simulated engine to the legacy blocking
-                    exchange schedule instead of the chunked overlapped
-                    pipeline (A/B escape hatch; outputs are bit-identical
-                    either way)
-  --serial-streams  pin the proving service to one compute queue per
-                    lease — DAG stages serialize exactly as before the
-                    multi-queue scheduler existed (A/B escape hatch;
-                    outputs are bit-identical either way)
 ";
 
 fn main() -> ExitCode {
@@ -54,23 +37,6 @@ fn main() -> ExitCode {
         let a = args[i].as_str();
         match a {
             "--quick" => quick = true,
-            "--legacy-kernels" => {
-                unintt_ntt::set_kernel_mode(unintt_ntt::KernelMode::Legacy);
-                unintt_core::set_kernel_mode_override(Some(unintt_ntt::KernelMode::Legacy));
-            }
-            "--scalar-kernels" => {
-                unintt_ntt::set_kernel_mode(unintt_ntt::KernelMode::Fast);
-                unintt_core::set_kernel_mode_override(Some(unintt_ntt::KernelMode::Fast));
-            }
-            "--portable-lanes" => {
-                unintt_ntt::set_vector_backend_override(Some(unintt_ntt::VectorBackend::Portable));
-            }
-            "--blocking-comm" => {
-                unintt_core::set_comm_mode_override(Some(unintt_core::CommMode::Blocking));
-            }
-            "--serial-streams" => {
-                unintt_core::set_streams_override(Some(1));
-            }
             "--trace-dir" => {
                 let Some(value) = args.get(i + 1) else {
                     eprintln!("--trace-dir needs a path\n{USAGE}");

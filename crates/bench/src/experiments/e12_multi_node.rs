@@ -6,8 +6,8 @@
 //!
 //! Under the default overlapped schedule the staged cross-node exchange
 //! pipelines against the outer column NTTs, so only the un-hidden wire
-//! remainder lands on the cluster makespan (compare with
-//! `--blocking-comm`); the network cost itself comes from the same α–β
+//! remainder lands on the cluster makespan (E15 compares it with the
+//! blocking schedule); the network cost itself comes from the same α–β
 //! formula the intra-node fabric charges with.
 
 use unintt_core::{Cluster, ClusterNttEngine, NetworkConfig, UniNttOptions};

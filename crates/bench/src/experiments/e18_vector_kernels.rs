@@ -1,17 +1,15 @@
 //! E18 — vectorized host kernels: lane-packed Shoup butterflies,
 //! radix-4/8 stage fusion, and the per-`(field, log_n)` specialized plan
-//! cache, measured wall-clock against the scalar fast path and the
-//! legacy radix-2 kernels.
+//! cache, measured wall-clock against the legacy radix-2 reference.
 //!
 //! This is the capture wrapper around `bench-host`: it runs the full
 //! two-field sweep (writing `BENCH_ntt.json` with the stage breakdown
-//! and the acceptance gates) and then demonstrates the per-mode
-//! dispatch counters end-to-end: one transform per kernel mode under a
-//! telemetry session must produce exactly one increment of the matching
-//! `ntt_dispatch_*` counter.
+//! and the acceptance gates) and then demonstrates the dispatch counter
+//! end-to-end: one transform under a telemetry session must produce
+//! exactly one increment of `ntt_dispatch_vector`.
 
 use unintt_ff::{Field, Goldilocks};
-use unintt_ntt::{set_kernel_mode, KernelMode, Ntt};
+use unintt_ntt::Ntt;
 
 use crate::host_bench;
 use crate::report::Table;
@@ -20,11 +18,9 @@ use crate::report::Table;
 pub fn run(quick: bool) -> Table {
     let mut table = host_bench::run(quick);
 
-    // One transform per mode under a session: the registry must show one
-    // increment per matching counter and nothing on the other two.
     let log_n = 10u32;
     let ntt = Ntt::<Goldilocks>::new(log_n);
-    let input: Vec<Goldilocks> = {
+    let mut buf: Vec<Goldilocks> = {
         use rand::{rngs::StdRng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(0xe18);
         (0..1usize << log_n)
@@ -32,20 +28,16 @@ pub fn run(quick: bool) -> Table {
             .collect()
     };
     let guard = unintt_telemetry::start_session();
-    for mode in [KernelMode::Vector, KernelMode::Fast, KernelMode::Legacy] {
-        set_kernel_mode(mode);
-        let mut buf = input.clone();
-        ntt.forward(&mut buf);
-    }
-    set_kernel_mode(KernelMode::default());
+    ntt.forward(&mut buf);
     let registry = unintt_telemetry::registry_snapshot();
     drop(guard);
-    let count = |name: &str| registry.counters.get(name).copied().unwrap_or(0);
     table.note(format!(
-        "dispatch counters after one transform per mode: vector={} fast={} legacy={}",
-        count("ntt_dispatch_vector"),
-        count("ntt_dispatch_fast"),
-        count("ntt_dispatch_legacy"),
+        "dispatch counter after one transform: vector={}",
+        registry
+            .counters
+            .get("ntt_dispatch_vector")
+            .copied()
+            .unwrap_or(0),
     ));
     table
 }
@@ -55,25 +47,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dispatch_counters_track_modes() {
+    fn dispatch_counter_counts_each_transform() {
         let ntt = Ntt::<Goldilocks>::new(6);
         let input: Vec<Goldilocks> = (0..64u64).map(unintt_ff::PrimeField::from_u64).collect();
         let guard = unintt_telemetry::start_session();
-        for mode in [
-            KernelMode::Vector,
-            KernelMode::Vector,
-            KernelMode::Fast,
-            KernelMode::Legacy,
-        ] {
-            set_kernel_mode(mode);
+        for _ in 0..2 {
             let mut buf = input.clone();
             ntt.forward(&mut buf);
         }
-        set_kernel_mode(KernelMode::default());
         let registry = unintt_telemetry::registry_snapshot();
         drop(guard);
         assert_eq!(registry.counters.get("ntt_dispatch_vector"), Some(&2));
-        assert_eq!(registry.counters.get("ntt_dispatch_fast"), Some(&1));
-        assert_eq!(registry.counters.get("ntt_dispatch_legacy"), Some(&1));
     }
 }

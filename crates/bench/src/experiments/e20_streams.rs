@@ -16,9 +16,8 @@
 //! digest-checked cell by cell: co-scheduling moves simulated clocks
 //! only, never data.
 //!
-//! The headline claim, asserted on every full (non-`--quick`) run
-//! unless `--serial-streams` pins the service back to one queue: at the
-//! highest offered load, two queues per lease finish the same work in a
+//! The headline claim, asserted on every full (non-`--quick`) run: at
+//! the highest offered load, two queues per lease finish the same work in a
 //! horizon at least 15% shorter than the one-queue DAG baseline.
 //!
 //! Everything is seeded and charged to the simulated clock, so two runs
@@ -293,11 +292,10 @@ pub fn run(quick: bool) -> Table {
     // The headline claim: at the highest load, two queues per lease cut
     // the end-to-end horizon by >= 15% versus the one-queue DAG
     // baseline. Quick mode's trimmed stream is too short to saturate
-    // the queues, and --serial-streams deliberately collapses every
-    // cell to one queue, so the gate applies to full unforced runs.
+    // the queues, so the gate applies to full runs.
     if let Some((dag_ns, streamed_ns)) = headline {
         let reduction = 1.0 - streamed_ns / dag_ns;
-        if !quick && unintt_core::streams_override().is_none() {
+        if !quick {
             assert!(
                 reduction >= HEADLINE_MIN_REDUCTION,
                 "two queues must cut the high-load horizon by >= {:.0}%: \

@@ -5,7 +5,7 @@
 //! Bytes are counted at link injection, so the totals are identical
 //! under the blocking and overlapped exchange schedules — the pipeline
 //! (E15) changes *when* chunks cross the fabric, never how many bytes
-//! do. `harness --blocking-comm e4` reproduces exactly this table.
+//! do; E15 sweeps both schedules side by side.
 
 use unintt_core::UniNttOptions;
 use unintt_ff::Bn254Fr;

@@ -1,9 +1,10 @@
 //! `bench-host`: wall-clock benchmark of the host-side NTT hot path.
 //!
 //! Measures batched forward NTTs over **Goldilocks and BabyBear** across
-//! sizes, thread counts, and all three kernel families (legacy radix-2
-//! DIT, the scalar Shoup/six-step fast path, and the vectorized
-//! lane-packed path), prints the comparison tables, and writes
+//! sizes and thread counts on the host path ([`Ntt::forward`], the
+//! vectorized lane-packed kernels) and on the radix-2 reference it is
+//! gated against (bit-reverse + DIT), prints the comparison tables, and
+//! writes
 //! machine-readable results to `BENCH_ntt.json` in the current
 //! directory. The JSON also carries a per-stage time breakdown
 //! (`twiddle_build` / `bitrev` / `passes`) for each size and the E18
@@ -13,10 +14,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use unintt_exec::Executor;
 use unintt_ff::{BabyBear, Field, Goldilocks, TwoAdicField};
 use unintt_ntt::{
-    active_vector_backend, batch_transform_parallel, bit_reverse_permute, set_kernel_mode,
-    Direction, KernelMode, Ntt, TwiddleTable, VectorBackend, VECTOR_DIRECT_MAX_LOG_N,
+    active_vector_backend, batch_transform_parallel, bit_reverse_permute, Direction, Ntt,
+    TwiddleTable, VectorBackend, VECTOR_DIRECT_MAX_LOG_N,
 };
 
 use crate::report::{fmt_ns, Table};
@@ -64,7 +66,6 @@ struct Cell {
     rows: usize,
     threads: usize,
     legacy_ns: f64,
-    fast_ns: f64,
     vector_ns: f64,
 }
 
@@ -91,40 +92,51 @@ fn pseudo_random_input<F: Field>(len: usize) -> Vec<F> {
     (0..len).map(|_| F::random(&mut rng)).collect()
 }
 
-/// Best-of-`iters` wall-clock time of one batched forward transform.
-fn time_batch<F: TwoAdicField>(
-    ntt: &Ntt<F>,
-    pristine: &[F],
-    threads: usize,
-    mode: KernelMode,
-    iters: u32,
-) -> f64 {
-    set_kernel_mode(mode);
+/// The radix-2 reference (bit-reverse + DIT) over every row, chunked
+/// exactly like [`batch_transform_parallel`] so the two timings differ
+/// only in the kernels.
+fn legacy_batch<F: TwoAdicField>(ntt: &Ntt<F>, data: &mut [F], threads: usize) {
+    let n = ntt.n();
+    let rows_per_thread = (data.len() / n).div_ceil(threads);
+    Executor::global().scope(|scope| {
+        for chunk in data.chunks_mut(rows_per_thread * n) {
+            scope.spawn(move || {
+                for row in chunk.chunks_mut(n) {
+                    bit_reverse_permute(row);
+                    ntt.dit_in_place(row);
+                }
+            });
+        }
+    });
+}
+
+/// Best-of-`iters` wall-clock time of `transform` over a fresh copy of
+/// `pristine`.
+fn time_batch<F: Field>(pristine: &[F], iters: u32, transform: impl Fn(&mut [F])) -> f64 {
     let mut buf = pristine.to_vec();
     let mut best = f64::INFINITY;
     for _ in 0..iters {
         buf.copy_from_slice(pristine);
         let t0 = Instant::now();
-        batch_transform_parallel(ntt, &mut buf, Direction::Forward, threads);
+        transform(&mut buf);
         best = best.min(t0.elapsed().as_secs_f64() * 1e9);
     }
-    set_kernel_mode(KernelMode::default());
     best
+}
+
+/// [`time_batch`] of the host path: batched forward NTTs chunked over
+/// `threads`.
+fn time_vector<F: TwoAdicField>(ntt: &Ntt<F>, pristine: &[F], threads: usize, iters: u32) -> f64 {
+    time_batch(pristine, iters, |buf| {
+        batch_transform_parallel(ntt, buf, Direction::Forward, threads)
+    })
 }
 
 /// Wall-clock of the bit-reversal permutation alone (table-driven at these
 /// sizes), per buffer — context for where the legacy path's time goes and
 /// the `bitrev` line of the stage breakdown.
 fn time_bitrev<F: Field>(pristine: &[F], iters: u32) -> f64 {
-    let mut buf = pristine.to_vec();
-    let mut best = f64::INFINITY;
-    for _ in 0..iters {
-        buf.copy_from_slice(pristine);
-        let t0 = Instant::now();
-        bit_reverse_permute(&mut buf);
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9);
-    }
-    best
+    time_batch(pristine, iters, bit_reverse_permute)
 }
 
 /// Stage breakdown for one `(field, log_n)`: cold twiddle build, the
@@ -139,7 +151,7 @@ fn measure_breakdown<F: TwoAdicField>(field: &'static str, log_n: u32, iters: u3
     let bitrev_ns = time_bitrev(&pristine, iters);
 
     let ntt = Ntt::<F>::new(log_n);
-    let total_ns = time_batch(&ntt, &pristine, 1, KernelMode::Vector, iters);
+    let total_ns = time_vector(&ntt, &pristine, 1, iters);
     // The direct vector kernel ends with the permutation; the six-step
     // decomposition above the threshold never bit-reverses.
     let passes_ns = if log_n <= VECTOR_DIRECT_MAX_LOG_N {
@@ -171,16 +183,14 @@ fn sweep_field<F: TwoAdicField>(
         let pristine = pseudo_random_input::<F>(rows << log_n);
         let ntt = Ntt::<F>::new(log_n);
         for &threads in thread_counts {
-            let legacy_ns = time_batch(&ntt, &pristine, threads, KernelMode::Legacy, iters);
-            let fast_ns = time_batch(&ntt, &pristine, threads, KernelMode::Fast, iters);
-            let vector_ns = time_batch(&ntt, &pristine, threads, KernelMode::Vector, iters);
+            let legacy_ns = time_batch(&pristine, iters, |buf| legacy_batch(&ntt, buf, threads));
+            let vector_ns = time_vector(&ntt, &pristine, threads, iters);
             let cell = Cell {
                 field,
                 log_n,
                 rows,
                 threads,
                 legacy_ns,
-                fast_ns,
                 vector_ns,
             };
             cells.push(cell);
@@ -190,7 +200,6 @@ fn sweep_field<F: TwoAdicField>(
                 rows.to_string(),
                 threads.to_string(),
                 fmt_ns(legacy_ns),
-                fmt_ns(fast_ns),
                 fmt_ns(vector_ns),
                 format!("{:.2}x", legacy_ns / vector_ns),
             ]);
@@ -236,16 +245,13 @@ fn render_json(
         let _ = write!(
             out,
             "    {{\"field\": \"{}\", \"log_n\": {}, \"rows\": {}, \"threads\": {}, \
-             \"legacy_ns\": {:.0}, \"shoup_ns\": {:.0}, \"vector_ns\": {:.0}, \
-             \"speedup\": {:.3}, \"vector_speedup\": {:.3}}}",
+             \"legacy_ns\": {:.0}, \"vector_ns\": {:.0}, \"vector_speedup\": {:.3}}}",
             c.field,
             c.log_n,
             c.rows,
             c.threads,
             c.legacy_ns,
-            c.fast_ns,
             c.vector_ns,
-            c.legacy_ns / c.fast_ns,
             c.legacy_ns / c.vector_ns
         );
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
@@ -289,14 +295,11 @@ fn render_json(
             let _ = writeln!(
                 out,
                 "  \"headline\": {{\"log_n\": {}, \"threads\": {}, \"legacy_ns\": {:.0}, \
-                 \"shoup_ns\": {:.0}, \"vector_ns\": {:.0}, \"speedup\": {:.3}, \
-                 \"vector_speedup\": {:.3}}}",
+                 \"vector_ns\": {:.0}, \"vector_speedup\": {:.3}}}",
                 c.log_n,
                 c.threads,
                 c.legacy_ns,
-                c.fast_ns,
                 c.vector_ns,
-                c.legacy_ns / c.fast_ns,
                 c.legacy_ns / c.vector_ns
             );
         }
@@ -316,14 +319,13 @@ pub fn run(quick: bool) -> Table {
     let backend = active_vector_backend::<Goldilocks>();
 
     let mut table = Table::new(
-        "bench-host: batched forward NTT, legacy vs Shoup vs vector kernels",
+        "bench-host: batched forward NTT, legacy reference vs vector kernels",
         &[
             "field",
             "size",
             "rows",
             "threads",
             "legacy",
-            "shoup",
             "vector",
             "vec-speedup",
         ],
@@ -381,8 +383,7 @@ pub fn run(quick: bool) -> Table {
         .copied();
     if let Some(c) = headline {
         table.note(format!(
-            "headline (Goldilocks 2^20, 8 threads): {:.2}x Shoup, {:.2}x vector over legacy",
-            c.legacy_ns / c.fast_ns,
+            "headline (Goldilocks 2^20, 8 threads): {:.2}x vector over legacy",
             c.legacy_ns / c.vector_ns
         ));
     }
@@ -434,7 +435,6 @@ mod tests {
             rows: 4,
             threads: 8,
             legacy_ns: 2e6,
-            fast_ns: 1e6,
             vector_ns: 5e5,
         }];
         let breakdowns = [Breakdown {
@@ -454,7 +454,7 @@ mod tests {
             VectorBackend::Portable,
         );
         assert!(s.starts_with("{\n") && s.ends_with("}\n"));
-        assert!(s.contains("\"speedup\": 2.000"));
+        assert!(!s.contains("shoup_ns") && !s.contains("\"speedup\""));
         assert!(s.contains("\"vector_speedup\": 4.000"));
         assert!(s.contains("\"breakdown\""));
         assert!(s.contains("\"passes_ns\": 400000"));
@@ -471,7 +471,6 @@ mod tests {
             rows: 1,
             threads: 8,
             legacy_ns: 6e6,
-            fast_ns: 3e6,
             vector_ns,
         };
         // 2^18 and 2^20 clear 2.0x, 2^22 clears 3.0x → pass.
@@ -488,11 +487,22 @@ mod tests {
     fn timing_helpers_return_positive() {
         let pristine = pseudo_random_input::<Goldilocks>(1 << 8);
         let ntt = Ntt::<Goldilocks>::new(8);
-        for mode in [KernelMode::Legacy, KernelMode::Fast, KernelMode::Vector] {
-            let t = time_batch(&ntt, &pristine, 2, mode, 1);
+        let legacy = time_batch(&pristine, 1, |buf| legacy_batch(&ntt, buf, 2));
+        for t in [legacy, time_vector(&ntt, &pristine, 2, 1)] {
             assert!(t > 0.0 && t.is_finite());
         }
         assert!(time_bitrev(&pristine, 1) > 0.0);
+    }
+
+    #[test]
+    fn legacy_batch_matches_host_path() {
+        let ntt = Ntt::<BabyBear>::new(6);
+        let pristine = pseudo_random_input::<BabyBear>(5 << 6);
+        let mut legacy = pristine.clone();
+        legacy_batch(&ntt, &mut legacy, 2);
+        let mut vector = pristine;
+        batch_transform_parallel(&ntt, &mut vector, Direction::Forward, 2);
+        assert_eq!(legacy, vector);
     }
 
     #[test]

@@ -117,7 +117,9 @@ impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
                     1,
                 ));
             });
-            machine.all_to_all_unchecked(data.shards_mut(), self.field_spec.elem_bytes);
+            machine
+                .all_to_all(data.shards_mut(), self.field_spec.elem_bytes)
+                .unwrap_or_else(|e| panic!("{e}"));
         }
         data.set_layout(ShardLayout::Cyclic);
     }
@@ -129,7 +131,9 @@ impl<F: TwoAdicField> FourStepMultiGpuEngine<F> {
         if g > 1 {
             let m = data.shard_len();
             let bucket = m / g;
-            machine.all_to_all_unchecked(data.shards_mut(), self.field_spec.elem_bytes);
+            machine
+                .all_to_all(data.shards_mut(), self.field_spec.elem_bytes)
+                .unwrap_or_else(|e| panic!("{e}"));
             machine.parallel_phase(data.shards_mut(), |ctx, _dev, shard| {
                 let mut unpacked = vec![F::ZERO; m];
                 for (j, slot) in unpacked.iter_mut().enumerate() {

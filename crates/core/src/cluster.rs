@@ -18,7 +18,6 @@
 //! As in the single-node engine, the functional result is bit-checked
 //! against the CPU reference and the network volume is exact.
 
-use serde::{Deserialize, Serialize};
 use unintt_ff::TwoAdicField;
 use unintt_gpu_sim::{
     alpha_beta_all_to_all_ns, FabricError, FieldSpec, KernelProfile, Machine, MachineConfig,
@@ -28,7 +27,7 @@ use unintt_ntt::Ntt;
 use crate::{CommMode, RecoveryPolicy, ShardLayout, Sharded, UniNttEngine, UniNttOptions};
 
 /// Datacenter network datasheet (node-to-node fabric).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkConfig {
     /// Per-node injection bandwidth in GB/s (e.g. 50 for 400G InfiniBand).
     pub per_node_bandwidth_gbps: f64,
@@ -373,7 +372,7 @@ impl<F: TwoAdicField> ClusterNttEngine<F> {
     fn charge_cluster_exchange(&self, cluster: &mut Cluster) {
         let t = self.num_nodes();
         let bytes = ((self.n() / t) * self.field_spec.elem_bytes) as u64;
-        if self.opts.effective_comm_mode() == CommMode::Overlapped {
+        if self.opts.comm_mode == CommMode::Overlapped {
             let hide = cluster.nodes[0]
                 .model()
                 .kernel_cost(&self.cluster_outer_profile())

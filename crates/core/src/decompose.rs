@@ -17,7 +17,6 @@
 //! loads/stores. [`DecompositionPlan`] records the radix assigned to each
 //! level; the engine and the cost profiles both read it.
 
-use serde::{Deserialize, Serialize};
 use unintt_gpu_sim::MachineConfig;
 
 /// Base-2 log of the warp width (32 lanes).
@@ -28,7 +27,7 @@ pub const LOG_WARP_TILE: u32 = 5;
 pub const MAX_LOG_BLOCK_TILE: u32 = 11;
 
 /// How a size-`2^log_n` NTT maps onto the hierarchy.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecompositionPlan {
     /// Total transform size, log2.
     pub log_n: u32,

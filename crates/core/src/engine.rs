@@ -190,10 +190,9 @@ impl<F: TwoAdicField> UniNttEngine<F> {
         self.plan.n()
     }
 
-    /// Whether the multi-GPU exchange runs as a software pipeline (the
-    /// resolved communication mode, honoring the process-wide override).
+    /// Whether the multi-GPU exchange runs as a software pipeline.
     fn overlapped(&self) -> bool {
-        self.plan.num_gpus() > 1 && self.opts.effective_comm_mode() == CommMode::Overlapped
+        self.plan.num_gpus() > 1 && self.opts.comm_mode == CommMode::Overlapped
     }
 
     /// Pipeline depth for the overlapped exchange: the explicit

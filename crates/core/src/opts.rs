@@ -6,13 +6,8 @@
 //! building kernel profiles, so an ablation run (experiment E6) is just a
 //! different `UniNttOptions` value — the functional result never changes.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use serde::{Deserialize, Serialize};
-use unintt_ntt::KernelMode;
-
 /// How the engine schedules the multi-GPU exchange relative to compute.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CommMode {
     /// Legacy schedule: finish the local passes, run the all-to-all as
     /// one blocking transfer, then start the outer transform.
@@ -25,92 +20,13 @@ pub enum CommMode {
     Overlapped,
 }
 
-/// Process-wide [`CommMode`] override, encoded as
-/// 0 = none, 1 = Blocking, 2 = Overlapped. Set by the bench harness's
-/// `--blocking-comm` flag (mirroring `--legacy-kernels`) so every engine
-/// in the process can be pinned without threading a flag through every
-/// constructor.
-static COMM_MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None` clears) a process-wide [`CommMode`] override
-/// consulted by [`UniNttOptions::effective_comm_mode`].
-pub fn set_comm_mode_override(mode: Option<CommMode>) {
-    let v = match mode {
-        None => 0,
-        Some(CommMode::Blocking) => 1,
-        Some(CommMode::Overlapped) => 2,
-    };
-    COMM_MODE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide [`CommMode`] override, if any.
-pub fn comm_mode_override() -> Option<CommMode> {
-    match COMM_MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(CommMode::Blocking),
-        2 => Some(CommMode::Overlapped),
-        _ => None,
-    }
-}
-
-/// Process-wide host [`KernelMode`] override, encoded as 0 = none,
-/// 1 = Vector, 2 = Fast, 3 = Legacy. Set by the harness's
-/// `--scalar-kernels` / `--legacy-kernels` flags so every options value
-/// in the process resolves to the pinned mode.
-static KERNEL_MODE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None` clears) a process-wide host [`KernelMode`]
-/// override consulted by [`UniNttOptions::effective_host_kernels`].
-pub fn set_kernel_mode_override(mode: Option<KernelMode>) {
-    let v = match mode {
-        None => 0,
-        Some(KernelMode::Vector) => 1,
-        Some(KernelMode::Fast) => 2,
-        Some(KernelMode::Legacy) => 3,
-    };
-    KERNEL_MODE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide host [`KernelMode`] override, if any.
-pub fn kernel_mode_override() -> Option<KernelMode> {
-    match KERNEL_MODE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Some(KernelMode::Vector),
-        2 => Some(KernelMode::Fast),
-        3 => Some(KernelMode::Legacy),
-        _ => None,
-    }
-}
-
-/// Every streams-per-lease value outside this range is clamped into it:
-/// one queue is strictly serial, and past four the interference model's
-/// pairwise products stop resembling any real SM partitioning.
+/// Stage schedulers accept `1..=MAX_STREAMS_PER_LEASE` compute queues per
+/// lease: one queue is strictly serial, and past four the interference
+/// model's pairwise products stop resembling any real SM partitioning.
 pub const MAX_STREAMS_PER_LEASE: u32 = 4;
 
-/// Process-wide streams-per-lease override, encoded as 0 = none, else
-/// the pinned queue count. Set by the harness's `--serial-streams` flag
-/// (mirroring `--blocking-comm`) so every stage scheduler in the process
-/// can be forced back to serialized dispatch without threading a flag
-/// through every constructor.
-static STREAMS_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Installs (or with `None` clears) a process-wide streams-per-lease
-/// override consulted by [`UniNttOptions::effective_streams_per_lease`]
-/// and the serving layer. Values are clamped to
-/// `1..=`[`MAX_STREAMS_PER_LEASE`].
-pub fn set_streams_override(streams: Option<u32>) {
-    let v = streams.map_or(0, |s| s.clamp(1, MAX_STREAMS_PER_LEASE));
-    STREAMS_OVERRIDE.store(v as u8, Ordering::Relaxed);
-}
-
-/// The current process-wide streams-per-lease override, if any.
-pub fn streams_override() -> Option<u32> {
-    match STREAMS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => None,
-        v => Some(u32::from(v)),
-    }
-}
-
 /// Optimization switches for the UniNTT engine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UniNttOptions {
     /// **O1 — fused twiddles**: the inter-level twiddle multiplication is
     /// folded into the adjacent transform kernel. Off: a standalone
@@ -141,26 +57,11 @@ pub struct UniNttOptions {
     /// Scheduling of the multi-GPU exchange relative to compute. Not an
     /// O-flag (it changes *when* work happens, not what work exists), so
     /// [`UniNttOptions::ablate`] leaves it alone.
-    #[serde(default)]
     pub comm_mode: CommMode,
     /// Pipeline depth for [`CommMode::Overlapped`]: how many chunks the
     /// exchange is split into. `0` (default) lets the engine pick from
     /// the plan via `DecompositionPlan::default_comm_chunks`.
-    #[serde(default)]
     pub comm_chunks: u32,
-    /// Which host-side NTT kernel family backs the real (non-simulated)
-    /// transforms driven under these options. Like `comm_mode`, not an
-    /// O-flag: every mode is bit-identical, only throughput changes.
-    #[serde(default)]
-    pub host_kernels: KernelMode,
-    /// Typed compute queues per device lease for stage schedulers built
-    /// over these options (`0` = auto, which resolves to `1`:
-    /// serialized stage dispatch, the historical behaviour). Like
-    /// `comm_mode`, not an O-flag: outputs are bit-identical at every
-    /// queue count, only the simulated schedule changes. Resolved values
-    /// are clamped to `1..=`[`MAX_STREAMS_PER_LEASE`].
-    #[serde(default)]
-    pub streams_per_lease: u32,
 }
 
 impl UniNttOptions {
@@ -176,8 +77,6 @@ impl UniNttOptions {
             natural_output: false,
             comm_mode: CommMode::Overlapped,
             comm_chunks: 0,
-            host_kernels: KernelMode::Vector,
-            streams_per_lease: 0,
         }
     }
 
@@ -206,34 +105,7 @@ impl UniNttOptions {
             natural_output: false,
             comm_mode: CommMode::Blocking,
             comm_chunks: 0,
-            host_kernels: KernelMode::Legacy,
-            streams_per_lease: 0,
         }
-    }
-
-    /// The communication mode this options value resolves to: the
-    /// process-wide override (see [`set_comm_mode_override`]) if one is
-    /// installed, else the per-options [`UniNttOptions::comm_mode`].
-    pub fn effective_comm_mode(&self) -> CommMode {
-        comm_mode_override().unwrap_or(self.comm_mode)
-    }
-
-    /// The host kernel family this options value resolves to: the
-    /// process-wide override (see [`set_kernel_mode_override`]) if one is
-    /// installed, else the per-options [`UniNttOptions::host_kernels`].
-    pub fn effective_host_kernels(&self) -> KernelMode {
-        kernel_mode_override().unwrap_or(self.host_kernels)
-    }
-
-    /// The streams-per-lease count this options value resolves to: the
-    /// process-wide override (see [`set_streams_override`]) if one is
-    /// installed, else the per-options
-    /// [`UniNttOptions::streams_per_lease`] (`0` = auto = `1`), clamped
-    /// to `1..=`[`MAX_STREAMS_PER_LEASE`].
-    pub fn effective_streams_per_lease(&self) -> u32 {
-        streams_override()
-            .unwrap_or(self.streams_per_lease)
-            .clamp(1, MAX_STREAMS_PER_LEASE)
     }
 
     /// `full()` with exactly one optimization disabled, by index O1..=O5.
@@ -315,66 +187,12 @@ mod tests {
 
     #[test]
     fn comm_mode_defaults() {
-        // No test may *install* the process-wide override (tests in this
-        // binary run concurrently); only the unset default is asserted.
-        assert_eq!(comm_mode_override(), None);
         assert_eq!(UniNttOptions::full().comm_mode, CommMode::Overlapped);
         assert_eq!(UniNttOptions::none().comm_mode, CommMode::Blocking);
-        assert_eq!(
-            UniNttOptions::full().effective_comm_mode(),
-            CommMode::Overlapped
-        );
         assert_eq!(UniNttOptions::full().comm_chunks, 0, "0 = planner auto");
         // The comm schedule is not an O-flag: every ablation keeps overlap.
         for which in 1..=5u32 {
             assert_eq!(UniNttOptions::ablate(which).comm_mode, CommMode::Overlapped);
-        }
-    }
-
-    #[test]
-    fn host_kernel_defaults() {
-        // As with the comm override, only the unset default is asserted —
-        // installing the process-wide override would race other tests.
-        assert_eq!(kernel_mode_override(), None);
-        assert_eq!(UniNttOptions::full().host_kernels, KernelMode::Vector);
-        assert_eq!(UniNttOptions::none().host_kernels, KernelMode::Legacy);
-        assert_eq!(
-            UniNttOptions::full().effective_host_kernels(),
-            KernelMode::Vector
-        );
-        // Not an O-flag: every ablation keeps the vector kernels.
-        for which in 1..=5u32 {
-            assert_eq!(
-                UniNttOptions::ablate(which).host_kernels,
-                KernelMode::Vector
-            );
-        }
-    }
-
-    #[test]
-    fn streams_default_resolves_to_serial_and_clamps() {
-        // As with the other overrides, only the unset default is
-        // asserted — installing the process-wide override would race
-        // other tests in this binary.
-        assert_eq!(streams_override(), None);
-        assert_eq!(UniNttOptions::full().streams_per_lease, 0, "0 = auto");
-        assert_eq!(
-            UniNttOptions::full().effective_streams_per_lease(),
-            1,
-            "auto resolves to serialized stage dispatch"
-        );
-        let mut o = UniNttOptions::full();
-        o.streams_per_lease = 3;
-        assert_eq!(o.effective_streams_per_lease(), 3);
-        o.streams_per_lease = 99;
-        assert_eq!(
-            o.effective_streams_per_lease(),
-            MAX_STREAMS_PER_LEASE,
-            "out-of-range values clamp"
-        );
-        // Not an O-flag: every ablation keeps the auto queue count.
-        for which in 1..=5u32 {
-            assert_eq!(UniNttOptions::ablate(which).streams_per_lease, 0);
         }
     }
 

@@ -5,11 +5,10 @@
 //! corruption, so the layout travels with the data: every engine method
 //! checks the tag of its input and stamps the tag of its output.
 
-use serde::{Deserialize, Serialize};
 use unintt_ff::Field;
 
 /// How the logical vector `x[0..n)` maps onto per-GPU shards.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShardLayout {
     /// `x[i]` lives on GPU `i mod G` at local index `i / G`.
     /// The input layout of the UniNTT forward transform.
@@ -24,7 +23,7 @@ pub enum ShardLayout {
 }
 
 /// A vector of field elements distributed over `G` simulated GPUs.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Sharded<F> {
     shards: Vec<Vec<F>>,
     layout: ShardLayout,

@@ -10,7 +10,6 @@ use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Field, PrimeField, ShoupField, ShoupTwiddle, TwoAdicField, U256};
 
@@ -57,7 +56,7 @@ const MONT_R: u32 = {
 /// `#[repr(transparent)]` is a guarantee, not an accident: the packed
 /// SIMD kernels (see [`crate::packed`]) reinterpret `&mut [BabyBear]`
 /// as `&mut [u32]` lane buffers, which is only sound with a pinned layout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(transparent)]
 pub struct BabyBear(u32);
 

@@ -16,12 +16,8 @@
 //! assert!(!carry);
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 /// A 256-bit unsigned integer stored as four little-endian `u64` limbs.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct U256(pub [u64; 4]);
 
 impl U256 {

@@ -15,7 +15,6 @@ use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Field, Goldilocks, PrimeField};
 
@@ -25,7 +24,7 @@ pub fn extension_w() -> Goldilocks {
 }
 
 /// An element `a + b·φ` of `F_{p²}` with `φ² = 7`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct GoldilocksExt2 {
     /// The base-field coefficient.
     pub a: Goldilocks,

@@ -18,7 +18,6 @@ use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Field, PrimeField, ShoupField, ShoupTwiddle, TwoAdicField, U256};
 
@@ -34,7 +33,7 @@ const EPSILON: u64 = 0xffff_ffff;
 /// `#[repr(transparent)]` is a guarantee, not an accident: the packed
 /// SIMD kernels (see [`crate::packed`]) reinterpret `&mut [Goldilocks]`
 /// as `&mut [u64]` lane buffers, which is only sound with a pinned layout.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 #[repr(transparent)]
 pub struct Goldilocks(u64);
 

@@ -15,7 +15,6 @@ use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::{Field, PrimeField, U256};
 
@@ -56,11 +55,8 @@ const fn pow2_mod(k: u32, modulus: &U256) -> U256 {
 }
 
 /// An element of the field described by `P`, stored in Montgomery form.
-#[derive(Serialize, Deserialize)]
-#[serde(transparent)]
 pub struct Mont<P: MontParams> {
     repr: U256,
-    #[serde(skip)]
     _marker: PhantomData<P>,
 }
 

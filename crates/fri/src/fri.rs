@@ -22,7 +22,6 @@
 //! remain in the base field, so domain arithmetic and twiddles stay
 //! 64-bit, and interpolation works component-wise by `F_p`-linearity.
 
-use serde::{Deserialize, Serialize};
 use unintt_ff::{batch_inverse, Field, Goldilocks, GoldilocksExt2, PrimeField, TwoAdicField};
 use unintt_ntt::{coset_intt, Ntt};
 
@@ -30,7 +29,7 @@ use crate::hash::{compress, hash_elements, Digest};
 use crate::merkle::{MerklePath, MerkleTree};
 
 /// FRI parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FriConfig {
     /// Rate: the codeword is `2^log_blowup` times longer than the degree
     /// bound.
@@ -53,7 +52,7 @@ impl FriConfig {
 }
 
 /// One query's openings in one layer: the two points folded together.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FriQueryRound {
     /// Opening at position `j` (`j < L/2`).
     pub low: MerklePath,
@@ -62,7 +61,7 @@ pub struct FriQueryRound {
 }
 
 /// One query: a chain of paired openings through every layer.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FriQueryProof {
     /// Per-layer openings, outermost layer first.
     pub rounds: Vec<FriQueryRound>,

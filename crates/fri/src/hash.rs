@@ -10,7 +10,6 @@
 //! determinism, full diffusion, fixed cost per permutation for the
 //! simulator to charge — it provides.
 
-use serde::{Deserialize, Serialize};
 use unintt_ff::{Field, Goldilocks, PrimeField};
 
 /// Sponge width in field elements.
@@ -21,7 +20,7 @@ pub const RATE: usize = 4;
 pub const ROUNDS: usize = 7;
 
 /// A 4-element (~256-bit) digest.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Digest(pub [Goldilocks; 4]);
 
 impl Digest {

@@ -5,7 +5,6 @@
 //! [`compress`] nodes. Opening a row reveals the row plus its
 //! authentication path.
 
-use serde::{Deserialize, Serialize};
 use unintt_ff::Goldilocks;
 
 use crate::hash::{compress, hash_elements, Digest};
@@ -21,7 +20,7 @@ pub struct MerkleTree {
 }
 
 /// An opening: the row values plus the authentication path to the root.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MerklePath {
     /// Index of the opened leaf.
     pub index: usize,

@@ -5,10 +5,8 @@
 //! clock, HBM bandwidth, NVLink bandwidth) so that the presets in
 //! [`crate::presets`] are auditable against public numbers.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a single GPU.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuConfig {
     /// Marketing name, e.g. `"A100-SXM4-80GB"`.
     pub name: String,
@@ -40,7 +38,7 @@ pub struct GpuConfig {
 }
 
 /// How the GPUs in a machine talk to each other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// Fully connected switch fabric (NVSwitch): every pair of GPUs enjoys
     /// full per-GPU bandwidth simultaneously.
@@ -59,7 +57,7 @@ pub enum Topology {
 }
 
 /// Interconnect datasheet.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InterconnectConfig {
     /// Fabric shape.
     pub topology: Topology,
@@ -77,19 +75,16 @@ pub struct InterconnectConfig {
     /// For [`Topology::Hierarchical`]: GPUs per node (must divide
     /// `num_gpus`). `0` means "all GPUs in one node" and is the default so
     /// single-node configs serialize unchanged.
-    #[serde(default)]
     pub gpus_per_node: usize,
     /// For [`Topology::Hierarchical`]: per-node uplink bandwidth into the
     /// inter-node fabric, GB/s (e.g. 50 for 400G InfiniBand).
-    #[serde(default)]
     pub inter_node_bandwidth_gbps: f64,
     /// For [`Topology::Hierarchical`]: one-way inter-node latency in ns.
-    #[serde(default)]
     pub inter_node_latency_ns: f64,
 }
 
 /// A complete multi-GPU machine.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MachineConfig {
     /// Number of GPUs.
     pub num_gpus: usize,
@@ -160,7 +155,7 @@ impl MachineConfig {
 
 /// Per-field cost parameters: how expensive one field op is in "limb
 /// multiply" units, and how wide an element is on the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FieldSpec {
     /// Element width in bytes (8 for Goldilocks, 32 for BN254-Fr).
     pub elem_bytes: usize,

@@ -17,10 +17,8 @@
 //! overhead is therefore directly readable from the stats as the
 //! fault-category share of total time.
 
-use serde::{Deserialize, Serialize};
-
 /// One kind of injected fault, with its parameters resolved.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
     /// The collective is dropped atomically: no data moves, every alive
     /// device is charged a detection timeout, and the collective returns
@@ -80,7 +78,7 @@ impl FaultKind {
 }
 
 /// A fault that was actually injected, in execution order.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
     /// The collective sequence number the fault hit.
     pub seq: u64,
@@ -93,7 +91,7 @@ pub struct FaultEvent {
 /// Probabilities are evaluated in the declared order against a single
 /// uniform draw, so at most one fault hits any collective and the sum
 /// of the rates must stay ≤ 1.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct FaultRates {
     /// P(collective dropped).
     pub drop_p: f64,
@@ -148,7 +146,7 @@ impl FaultRates {
 
 /// A deterministic schedule of faults, keyed by collective sequence
 /// number.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FaultPlan {
     /// Explicit list of faults (targeted tests, examples). Faults whose
     /// `seq` never comes up simply never fire.
@@ -256,7 +254,7 @@ impl FaultPlan {
 /// The first three variants are caller bugs (previously `panic!`s); the
 /// last two are injected faults that recovery layers are expected to
 /// handle.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FabricError {
     /// `shards.len()` differed from the device count.
     ShardCountMismatch {

@@ -35,8 +35,7 @@
 //!
 //! Collectives return `Result<_, FabricError>`: argument bugs and
 //! injected faults (see [`FaultPlan`]) surface as typed errors instead of
-//! panics, so recovery layers can retry, repair, or re-plan. The
-//! `*_unchecked` shims keep the legacy panicking behaviour.
+//! panics, so recovery layers can retry, repair, or re-plan.
 
 #![warn(missing_docs)]
 

@@ -6,8 +6,6 @@
 //! "where did the 400 µs go" questions that aggregate [`crate::Stats`]
 //! cannot.
 
-use serde::{Deserialize, Serialize};
-
 use crate::trace::Category;
 
 /// Maximum events retained per device; beyond this, events are counted
@@ -15,7 +13,7 @@ use crate::trace::Category;
 pub const MAX_EVENTS: usize = 4096;
 
 /// One executed kernel or collective.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TraceEvent {
     /// Kernel or collective name.
     pub name: &'static str,
@@ -28,7 +26,6 @@ pub struct TraceEvent {
     /// The compute queue (stream) the work ran on. `0` is the default
     /// stream; stage schedulers running co-resident work through
     /// [`crate::StreamSet`] tag their queues so traces show the overlap.
-    #[serde(default)]
     pub queue: u32,
 }
 

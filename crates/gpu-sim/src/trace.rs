@@ -1,9 +1,7 @@
 //! Cost accounting: categories, hierarchy levels, and accumulated stats.
 
-use serde::{Deserialize, Serialize};
-
 /// Where simulated time is spent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Category {
     /// Arithmetic (field butterflies, twiddle products).
     Compute,
@@ -67,7 +65,7 @@ impl core::fmt::Display for Category {
 }
 
 /// The four levels of the multi-GPU hierarchy the paper optimizes across.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Level {
     /// 32 lanes exchanging through registers.
     Warp,
@@ -99,7 +97,7 @@ impl core::fmt::Display for Level {
 /// One collective operation as seen by the machine: what ran, how many
 /// bytes crossed the fabric, over how many links, and how much of the
 /// communication time an overlapped schedule hid behind compute.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CollectiveEvent {
     /// Operation name (`"all-to-all"`, `"all-to-all-overlapped"`, …).
     pub op: &'static str,
@@ -115,7 +113,7 @@ pub struct CollectiveEvent {
 }
 
 /// Accumulated simulation statistics (per device, mergeable).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Stats {
     /// Simulated nanoseconds charged, by bottleneck category. Each kernel's
     /// full roofline time lands on the single category that dominated it.
@@ -136,7 +134,6 @@ pub struct Stats {
     /// Interconnect nanoseconds hidden behind compute by overlapped
     /// collectives (already *excluded* from `time_ns.interconnect`; the
     /// raw, overlap-blind charge is in `raw_time_ns.interconnect`).
-    #[serde(default)]
     pub comm_hidden_ns: f64,
     /// Kernel launches.
     pub kernels_launched: u64,
@@ -158,7 +155,7 @@ pub struct Stats {
 }
 
 /// Nanoseconds indexed by [`Category`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct TimeByCategory {
     /// See [`Category::Compute`].
     pub compute: f64,

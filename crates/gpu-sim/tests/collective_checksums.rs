@@ -19,14 +19,14 @@ fn shards(d: usize, len: usize) -> Vec<Vec<u64>> {
 }
 
 #[test]
-fn all_gather_corruption_is_silent_unchecked() {
+fn all_gather_corruption_is_silent_without_checksums() {
     let d = 4;
     let clean = machine(d).all_gather(&shards(d, 16), 8).unwrap();
 
     let mut m = machine(d);
     scripted(&mut m, 0, FaultKind::Corrupt { src: 2, dst: 1 });
     let damaged = m.all_gather(&shards(d, 16), 8).unwrap();
-    assert_ne!(damaged, clean, "unchecked gather must deliver silently");
+    assert_ne!(damaged, clean, "plain gather must deliver silently");
     assert_eq!(m.stats().interconnect_bytes_retransmitted, 0);
 }
 

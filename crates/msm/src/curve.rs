@@ -9,7 +9,6 @@
 use core::ops::{Add, AddAssign, Neg};
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use unintt_ff::{Bn254Fq, Bn254Fr, Field, PrimeField, U256};
 
 /// The curve coefficient `b = 3` (`a` is 0).
@@ -18,7 +17,7 @@ pub fn curve_b() -> Bn254Fq {
 }
 
 /// A point on BN254 G1 in affine coordinates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct G1Affine {
     /// x-coordinate (meaningless when `infinity` is set).
     pub x: Bn254Fq,
@@ -102,7 +101,7 @@ impl core::fmt::Display for G1Affine {
 
 /// A point on BN254 G1 in Jacobian coordinates (`x = X/Z²`, `y = Y/Z³`;
 /// `Z = 0` encodes the identity).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct G1Projective {
     /// Jacobian X.
     pub x: Bn254Fq,

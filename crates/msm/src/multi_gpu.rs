@@ -62,7 +62,9 @@ pub fn multi_gpu_msm(
     });
 
     let partials: Vec<G1Projective> = shards.iter().map(|(_, _, p)| *p).collect();
-    machine.reduce_to_root_unchecked(&partials, G1_BYTES, |a, b| *a + *b)
+    machine
+        .reduce_to_root(&partials, G1_BYTES, |a, b| *a + *b)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Cost profile of one GPU's Pippenger kernel over `n` pairs.
@@ -95,7 +97,9 @@ pub fn simulate_multi_gpu_msm(machine: &mut Machine, n: u64) {
     });
     if g > 1 {
         let dummies: Vec<G1Projective> = vec![G1Projective::identity(); g as usize];
-        machine.reduce_to_root_unchecked(&dummies, G1_BYTES, |a, _| *a);
+        machine
+            .reduce_to_root(&dummies, G1_BYTES, |a, _| *a)
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }
 

@@ -1,4 +1,4 @@
-//! Process-wide plan and twiddle caches.
+//! Process-wide twiddle-table and vector-plan caches.
 //!
 //! Engines, provers and benches construct [`crate::Ntt`] contexts for the
 //! same `(field, log_n)` pairs over and over (the ZKP backend builds one
@@ -31,7 +31,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use unintt_ff::TwoAdicField;
 
-use crate::fast::DirectPlan;
 use crate::twiddle::TwiddleTable;
 use crate::vector::VectorPlan;
 
@@ -137,11 +136,6 @@ fn table_cache() -> &'static TypedCache {
     CACHE.get_or_init(|| Mutex::new(BoundedCache::new(DEFAULT_CACHE_CAPACITY)))
 }
 
-fn plan_cache() -> &'static TypedCache {
-    static CACHE: OnceLock<TypedCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(BoundedCache::new(DEFAULT_CACHE_CAPACITY)))
-}
-
 fn vector_plan_cache() -> &'static TypedCache {
     static CACHE: OnceLock<TypedCache> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(BoundedCache::new(DEFAULT_CACHE_CAPACITY)))
@@ -153,7 +147,6 @@ fn vector_plan_cache() -> &'static TypedCache {
 /// clamped to ≥ 1. Long-lived services call this once at startup.
 pub fn set_cache_capacity(capacity: usize) {
     table_cache().lock().unwrap().set_capacity(capacity);
-    plan_cache().lock().unwrap().set_capacity(capacity);
     vector_plan_cache().lock().unwrap().set_capacity(capacity);
 }
 
@@ -184,21 +177,6 @@ pub fn shared_table<F: TwoAdicField>(log_n: u32) -> Arc<TwiddleTable<F>> {
         .expect("cache type invariant")
 }
 
-/// The shared direct-kernel plan (per-stage Shoup tables) for `(F, log_n)`.
-pub(crate) fn shared_plan<F: TwoAdicField>(log_n: u32) -> Arc<DirectPlan<F>> {
-    let key = (TypeId::of::<F>(), log_n);
-    if let Some(hit) = plan_cache().lock().unwrap().get(&key) {
-        return hit.downcast().expect("cache type invariant");
-    }
-    let built = Arc::new(DirectPlan::new(&shared_table::<F>(log_n)));
-    plan_cache()
-        .lock()
-        .unwrap()
-        .insert(key, built as AnyArc)
-        .downcast()
-        .expect("cache type invariant")
-}
-
 /// The shared vectorized-kernel plan (lane-packed per-stage tables plus
 /// the pre-interleaved native-lane banks) for `(F, log_n)`. One memoized,
 /// monomorphized instance per `(field, log_n)` pair; both directions live
@@ -220,8 +198,9 @@ pub(crate) fn shared_vector_plan<F: TwoAdicField>(log_n: u32) -> Arc<VectorPlan<
 
 /// Largest `log_n` whose bit-reversal swap pairs are cached (a pair table
 /// at `2^20` is 4 MiB; larger permutations fall back to on-the-fly index
-/// computation — the fast NTT path never bit-reverses at those sizes
-/// anyway, it decomposes six-step instead).
+/// computation — the vector NTT never bit-reverses above
+/// [`crate::VECTOR_DIRECT_MAX_LOG_N`] anyway, it decomposes six-step
+/// instead).
 pub(crate) const MAX_CACHED_BITREV_BITS: u32 = 20;
 
 /// A cached table of bit-reversal swap pairs.
@@ -252,6 +231,7 @@ pub(crate) fn bitrev_pairs(bits: u32) -> BitrevPairs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VectorBackend;
     use unintt_ff::{BabyBear, Goldilocks, PrimeField};
 
     #[test]
@@ -273,13 +253,6 @@ mod tests {
         assert_eq!(shared.forward(), fresh.forward());
         assert_eq!(shared.inverse(), fresh.inverse());
         assert_eq!(shared.n_inv(), fresh.n_inv());
-    }
-
-    #[test]
-    fn plans_are_shared() {
-        let a = shared_plan::<Goldilocks>(5);
-        let b = shared_plan::<Goldilocks>(5);
-        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
@@ -381,9 +354,9 @@ mod tests {
         // And the plan still transforms correctly end-to-end.
         let input: Vec<Goldilocks> = (0..512u64).map(Goldilocks::from_u64).collect();
         let mut via_held = input.clone();
-        held.forward(&mut via_held);
+        held.forward(&mut via_held, VectorBackend::Native);
         let mut via_fresh = input;
-        shared_vector_plan::<Goldilocks>(9).forward(&mut via_fresh);
+        shared_vector_plan::<Goldilocks>(9).forward(&mut via_fresh, VectorBackend::Native);
         assert_eq!(via_held, via_fresh);
     }
 

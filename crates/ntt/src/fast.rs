@@ -1,117 +1,33 @@
-//! The fast host-side NTT path: Shoup/lazy butterflies, per-stage packed
-//! twiddle tables, and a cache-blocked six-step decomposition.
+//! The six-step surround of the host NTT: per-stage twiddle packing, the
+//! cache-blocked Bailey decomposition, and its tiled transposes.
 //!
-//! [`crate::Ntt::forward`]/[`crate::Ntt::inverse`] dispatch to the
-//! vectorized kernels ([`KernelMode::Vector`], the default — see
-//! [`crate::vector`]), to this module ([`KernelMode::Fast`]), or to the
-//! pre-existing radix-2 DIT kernels ([`KernelMode::Legacy`]) for A/B
-//! comparison (the harness exposes `--scalar-kernels` and
-//! `--legacy-kernels`). **All paths produce bit-identical
-//! outputs**: every kernel computes the exact DFT over the field and
-//! canonicalizes its lanes before returning, and canonical representations
-//! are unique.
+//! [`crate::Ntt::forward`]/[`crate::Ntt::inverse`] always run the
+//! vectorized kernels of [`crate::vector`]. Sizes up to
+//! [`crate::VECTOR_DIRECT_MAX_LOG_N`] take one direct lane-packed pass;
+//! larger sizes decompose here as `N = N1·N2`: all row transforms run
+//! over contiguous, cache-resident rows on the vector plans, and the
+//! step-② twiddle multiplication is fused right after the inner
+//! transforms while each row is still hot. The bit-reversal of a
+//! multi-MiB array — pure random access — never happens.
 //!
-//! Structure of the fast path:
-//!
-//! * `log_n ≤ DIRECT_MAX_LOG_N` — a decimation-in-frequency pass using
-//!   [`unintt_ff::ShoupField::dif_butterfly`] on lazy lanes with
-//!   *per-stage packed* twiddle tables (sequential reads, no `j << stride`
-//!   gather), followed by a table-driven bit-reversal. Working set fits in
-//!   cache, so the permutation is cheap here.
-//! * larger sizes — the Bailey six-step factorization `N = N1·N2` with
-//!   tile-blocked transposes: all row transforms run over contiguous,
-//!   cache-resident rows via the direct path above, and the step-②
-//!   twiddle multiplication is fused right after the inner transforms
-//!   while each row is still hot. The bit-reversal of an 8 MiB array —
-//!   pure random access in the legacy path — never happens.
+//! The radix-2 bit-reverse + DIT kernels on [`crate::Ntt`]
+//! ([`crate::bit_reverse_permute`] then [`crate::Ntt::dit_in_place`])
+//! are the explicit reference every path here is tested against. Every
+//! kernel computes the exact DFT over the field and canonicalizes its
+//! lanes before returning, and canonical representations are unique, so
+//! outputs are bit-identical to that reference.
 
 use std::any::TypeId;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use unintt_ff::{Goldilocks, ShoupTwiddle, TwoAdicField};
 
 use crate::twiddle::TwiddleTable;
-use crate::{bit_reverse_permute, cache, vector};
+use crate::{cache, vector, VectorBackend};
 
-/// Which kernel family [`crate::Ntt`] dispatches to.
-///
-/// All three families compute the exact DFT and canonicalize their
-/// output lanes, so they are bit-identical; the mode is a performance
-/// A/B switch, not a semantic one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum KernelMode {
-    /// Lane-packed (SIMD) Shoup butterflies with radix-4/8 stage fusion
-    /// and per-`(field, log_n)` specialized plans (default); see
-    /// [`crate::vector`]-level docs.
-    #[default]
-    Vector,
-    /// Scalar Shoup/lazy butterflies + six-step blocking.
-    Fast,
-    /// The original radix-2 bit-reverse + DIT path.
-    Legacy,
-}
-
-impl KernelMode {
-    fn encode(self) -> u8 {
-        match self {
-            KernelMode::Vector => 0,
-            KernelMode::Fast => 1,
-            KernelMode::Legacy => 2,
-        }
-    }
-
-    fn decode(v: u8) -> Self {
-        match v {
-            0 => KernelMode::Vector,
-            1 => KernelMode::Fast,
-            _ => KernelMode::Legacy,
-        }
-    }
-
-    /// Stable lowercase name (telemetry gauges, bench reports).
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelMode::Vector => "vector",
-            KernelMode::Fast => "fast",
-            KernelMode::Legacy => "legacy",
-        }
-    }
-}
-
-static KERNEL_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Selects the kernel family process-wide. Outputs are bit-identical in
-/// every mode; this is a performance A/B switch, not a semantic one.
-pub fn set_kernel_mode(mode: KernelMode) {
-    KERNEL_MODE.store(mode.encode(), Ordering::Relaxed);
-}
-
-/// The currently selected kernel family.
-pub fn kernel_mode() -> KernelMode {
-    KernelMode::decode(KERNEL_MODE.load(Ordering::Relaxed))
-}
-
-/// Largest `log_n` the direct (single-pass) kernel handles; larger sizes
-/// decompose six-step so the working set of every inner loop stays cache
-/// sized. At `2^16` data + packed stage tables is ~1.5 MiB — L2-resident,
-/// where the direct kernel still beats three transpose passes. Also bounds
-/// the memory of cached per-stage plans.
-pub(crate) const DIRECT_MAX_LOG_N: u32 = 16;
-
-/// A direct-kernel plan: per-stage packed Shoup twiddles for both
-/// directions plus the prepared inverse-scale constant. Cached
-/// process-wide by `(field, log_n)` — see [`crate::cache`].
-pub(crate) struct DirectPlan<F: TwoAdicField> {
-    log_n: u32,
-    /// `fwd_stages[s-1][j]` is the stage-`s` DIF twiddle `ω^{j·2^(log_n−s)}`,
-    /// prepared; packed contiguously so stage loops read sequentially.
-    fwd_stages: Vec<Vec<ShoupTwiddle<F>>>,
-    inv_stages: Vec<Vec<ShoupTwiddle<F>>>,
-    n_inv: ShoupTwiddle<F>,
-}
-
+/// Packs a twiddle lane into per-stage tables: `stages[s-1][j]` is the
+/// stage-`s` DIF twiddle `ω^{j·2^(log_n−s)}`, contiguous so stage loops
+/// read sequentially instead of gathering `j << stride`.
 pub(crate) fn pack_stages<F: TwoAdicField>(
     lane: &[ShoupTwiddle<F>],
     log_n: u32,
@@ -123,75 +39,6 @@ pub(crate) fn pack_stages<F: TwoAdicField>(
             (0..half).map(|j| lane[j << stride]).collect()
         })
         .collect()
-}
-
-impl<F: TwoAdicField> DirectPlan<F> {
-    pub(crate) fn new(table: &TwiddleTable<F>) -> Self {
-        let log_n = table.log_n();
-        Self {
-            log_n,
-            fwd_stages: pack_stages(table.forward_shoup(), log_n),
-            inv_stages: pack_stages(table.inverse_shoup(), log_n),
-            n_inv: F::shoup_prepare(table.n_inv()),
-        }
-    }
-
-    /// DIF stages on lazy lanes. When `canonicalize` is set the final
-    /// stage folds [`ShoupField::reduce_lane`] into its stores; otherwise
-    /// lanes stay lazy for a caller-fused final pass. All inner loops are
-    /// zipped iterators so no bounds check survives into the hot path.
-    /// (A fused radix-4 variant was measured and lost: holding four u128
-    /// butterfly temporaries spills on this target.)
-    fn dif_lazy(&self, values: &mut [F], stages: &[Vec<ShoupTwiddle<F>>], canonicalize: bool) {
-        let log_n = self.log_n;
-        if log_n == 0 {
-            return;
-        }
-        for s in (2..=log_n).rev() {
-            let m = 1usize << s;
-            let half = m / 2;
-            let tw = &stages[(s - 1) as usize][..half];
-            for block in values.chunks_exact_mut(m) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((u, v), t) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-                    let (a, b) = F::dif_butterfly(*u, *v, t);
-                    *u = a;
-                    *v = b;
-                }
-            }
-        }
-        // Final stage (s = 1): single unit twiddle per block pair.
-        let t1 = &stages[0][0];
-        if canonicalize {
-            for block in values.chunks_exact_mut(2) {
-                let (a, b) = F::dif_butterfly(block[0], block[1], t1);
-                block[0] = F::reduce_lane(a);
-                block[1] = F::reduce_lane(b);
-            }
-        } else {
-            for block in values.chunks_exact_mut(2) {
-                let (a, b) = F::dif_butterfly(block[0], block[1], t1);
-                block[0] = a;
-                block[1] = b;
-            }
-        }
-    }
-
-    /// Forward transform, natural order in and out, canonical output.
-    pub(crate) fn forward(&self, values: &mut [F]) {
-        self.dif_lazy(values, &self.fwd_stages, true);
-        bit_reverse_permute(values);
-    }
-
-    /// Inverse transform including the `1/n` scale; the scale pass doubles
-    /// as the lane canonicalization.
-    pub(crate) fn inverse(&self, values: &mut [F]) {
-        self.dif_lazy(values, &self.inv_stages, false);
-        bit_reverse_permute(values);
-        for v in values.iter_mut() {
-            *v = F::reduce_lane(F::shoup_mul(*v, &self.n_inv));
-        }
-    }
 }
 
 /// Transpose tile edge: 32×32 Goldilocks elements = 8 KiB, comfortably two
@@ -443,83 +290,27 @@ mod x86 {
     }
 }
 
-/// Fast forward NTT for any supported size (natural order in/out).
-pub(crate) fn forward_fast<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
-    let log_n = table.log_n();
-    if log_n <= DIRECT_MAX_LOG_N {
-        cache::shared_plan::<F>(log_n).forward(values);
-    } else {
-        six_step(table, values, false, RowPath::Fast);
-    }
-}
-
-/// Fast inverse NTT (includes the `1/n` scale).
-pub(crate) fn inverse_fast<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
-    let log_n = table.log_n();
-    if log_n <= DIRECT_MAX_LOG_N {
-        cache::shared_plan::<F>(log_n).inverse(values);
-    } else {
-        six_step(table, values, true, RowPath::Fast);
-    }
-}
-
-/// Which kernel family the six-step decomposition's row transforms run
-/// on. The surrounding structure (transposes, step-② twiddles, scaling)
-/// is identical; row outputs are bit-identical either way, so so is the
-/// whole transform.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum RowPath {
-    /// Scalar Shoup plans ([`DirectPlan`]).
-    Fast,
-    /// Vectorized plans ([`crate::vector::VectorPlan`]).
-    Vector,
-}
-
-/// Row-transform dispatch for six-step sub-problems (recurses back through
-/// the size check, so `log_n > 2·DIRECT_MAX_LOG_N` still works).
-fn rows_with<F: TwoAdicField>(data: &mut [F], row_log: u32, inverse: bool, rows: RowPath) {
+/// Row transforms for six-step sub-problems on the vector plans (recurses
+/// back through the size check, so `log_n > 2·VECTOR_DIRECT_MAX_LOG_N`
+/// still works).
+fn rows_with<F: TwoAdicField>(data: &mut [F], row_log: u32, inverse: bool, backend: VectorBackend) {
     let row_len = 1usize << row_log;
-    match rows {
-        RowPath::Fast => {
-            if row_log <= DIRECT_MAX_LOG_N {
-                let plan = cache::shared_plan::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        plan.inverse(row);
-                    } else {
-                        plan.forward(row);
-                    }
-                }
+    if row_log <= vector::VECTOR_DIRECT_MAX_LOG_N {
+        let plan = cache::shared_vector_plan::<F>(row_log);
+        for row in data.chunks_exact_mut(row_len) {
+            if inverse {
+                plan.inverse(row, backend);
             } else {
-                let table = cache::shared_table::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        inverse_fast(&table, row);
-                    } else {
-                        forward_fast(&table, row);
-                    }
-                }
+                plan.forward(row, backend);
             }
         }
-        RowPath::Vector => {
-            if row_log <= vector::VECTOR_DIRECT_MAX_LOG_N {
-                let plan = cache::shared_vector_plan::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        plan.inverse(row);
-                    } else {
-                        plan.forward(row);
-                    }
-                }
+    } else {
+        let table = cache::shared_table::<F>(row_log);
+        for row in data.chunks_exact_mut(row_len) {
+            if inverse {
+                vector::inverse_vector(&table, row, backend);
             } else {
-                let table = cache::shared_table::<F>(row_log);
-                for row in data.chunks_exact_mut(row_len) {
-                    if inverse {
-                        vector::inverse_vector(&table, row);
-                    } else {
-                        vector::forward_vector(&table, row);
-                    }
-                }
+                vector::forward_vector(&table, row, backend);
             }
         }
     }
@@ -535,7 +326,7 @@ pub(crate) fn six_step<F: TwoAdicField>(
     table: &Arc<TwiddleTable<F>>,
     values: &mut [F],
     inverse: bool,
-    rows: RowPath,
+    backend: VectorBackend,
 ) {
     let log_n = table.log_n();
     let l1 = log_n / 2;
@@ -550,19 +341,19 @@ pub(crate) fn six_step<F: TwoAdicField>(
         if !inverse {
             transpose_in_place_square(values, n1);
             for (i2, row) in values.chunks_exact_mut(n1).enumerate() {
-                rows_with::<F>(row, l1, false, rows);
+                rows_with::<F>(row, l1, false, backend);
                 twiddle_row(row, table, i2, false);
             }
             transpose_in_place_square(values, n1);
-            rows_with::<F>(values, l2, false, rows);
+            rows_with::<F>(values, l2, false, backend);
             transpose_in_place_square(values, n1);
         } else {
             transpose_in_place_square(values, n1);
-            rows_with::<F>(values, l2, true, rows);
+            rows_with::<F>(values, l2, true, backend);
             transpose_in_place_square(values, n1);
             for (i2, row) in values.chunks_exact_mut(n1).enumerate() {
                 twiddle_row(row, table, i2, true);
-                rows_with::<F>(row, l1, true, rows);
+                rows_with::<F>(row, l1, true, backend);
             }
             transpose_in_place_square(values, n1);
         }
@@ -574,22 +365,22 @@ pub(crate) fn six_step<F: TwoAdicField>(
         // values[i1·n2 + i2] → scratch[i2·n1 + i1]: columns become rows.
         transpose_blocked(values, &mut scratch, n1, n2);
         for (i2, row) in scratch.chunks_exact_mut(n1).enumerate() {
-            rows_with::<F>(row, l1, false, rows);
+            rows_with::<F>(row, l1, false, backend);
             twiddle_row(row, table, i2, false);
         }
         transpose_blocked(&scratch, values, n2, n1);
-        rows_with::<F>(values, l2, false, rows);
+        rows_with::<F>(values, l2, false, backend);
         transpose_blocked(values, &mut scratch, n1, n2);
         values.copy_from_slice(&scratch);
     } else {
         // Exact mirror: undo the final transpose, outer inverses, undo the
         // middle transpose, un-twiddle + inner inverses, undo the first.
         transpose_blocked(values, &mut scratch, n2, n1);
-        rows_with::<F>(&mut scratch, l2, true, rows);
+        rows_with::<F>(&mut scratch, l2, true, backend);
         transpose_blocked(&scratch, values, n1, n2);
         for (i2, row) in values.chunks_exact_mut(n1).enumerate() {
             twiddle_row(row, table, i2, true);
-            rows_with::<F>(row, l1, true, rows);
+            rows_with::<F>(row, l1, true, backend);
         }
         transpose_blocked(values, &mut scratch, n2, n1);
         values.copy_from_slice(&scratch);
@@ -599,54 +390,16 @@ pub(crate) fn six_step<F: TwoAdicField>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ntt;
     use rand::{rngs::StdRng, SeedableRng};
-    use unintt_ff::{BabyBear, Bn254Fr, Field, Goldilocks};
+    use unintt_ff::Field;
 
     fn random_vec<F: Field>(log_n: u32, seed: u64) -> Vec<F> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..1usize << log_n).map(|_| F::random(&mut rng)).collect()
     }
 
-    /// Runs `f` under the legacy kernels, restoring the default mode after.
-    /// Outputs are mode-independent, so concurrent tests observing the
-    /// temporary switch still pass.
-    fn with_legacy<R>(f: impl FnOnce() -> R) -> R {
-        set_kernel_mode(KernelMode::Legacy);
-        let r = f();
-        set_kernel_mode(KernelMode::default());
-        r
-    }
-
-    /// Runs `f` with the fast (scalar six-step) kernels forced on.
-    fn with_fast<R>(f: impl FnOnce() -> R) -> R {
-        set_kernel_mode(KernelMode::Fast);
-        let r = f();
-        set_kernel_mode(KernelMode::default());
-        r
-    }
-
-    fn fast_matches_legacy_generic<F: TwoAdicField>(max_log: u32) {
-        for log_n in 0..=max_log {
-            let ntt = Ntt::<F>::new(log_n);
-            let input = random_vec::<F>(log_n, 42 + log_n as u64);
-
-            let mut legacy_fwd = input.clone();
-            with_legacy(|| ntt.forward(&mut legacy_fwd));
-            let mut fast_fwd = input.clone();
-            with_fast(|| ntt.forward(&mut fast_fwd));
-            assert_eq!(fast_fwd, legacy_fwd, "forward log_n={log_n}");
-
-            let mut legacy_inv = input.clone();
-            with_legacy(|| ntt.inverse(&mut legacy_inv));
-            let mut fast_inv = input.clone();
-            with_fast(|| ntt.inverse(&mut fast_inv));
-            assert_eq!(fast_inv, legacy_inv, "inverse log_n={log_n}");
-        }
-    }
-
     /// Dev profiling aid, not a correctness check: prints the per-phase
-    /// split of one vector-row six-step at 2^22. Run with
+    /// split of one six-step at 2^22. Run with
     /// `cargo test -p unintt-ntt --release six_step_phase_profile -- --ignored --nocapture`.
     #[test]
     #[ignore = "profiling aid; wall-clock printout only"]
@@ -658,7 +411,7 @@ mod tests {
         let mut values = random_vec::<Goldilocks>(log_n, 7);
 
         let t = Instant::now();
-        six_step(&table, &mut values, false, RowPath::Vector);
+        six_step(&table, &mut values, false, VectorBackend::Native);
         println!("full six-step forward: {:?}", t.elapsed());
 
         let t = Instant::now();
@@ -667,7 +420,7 @@ mod tests {
         println!("one in-place transpose ({n1}x{n1}): {one_transpose:?}");
 
         let t = Instant::now();
-        rows_with::<Goldilocks>(&mut values, log_n / 2, false, RowPath::Vector);
+        rows_with::<Goldilocks>(&mut values, log_n / 2, false, VectorBackend::Native);
         println!(
             "one row pass ({n1} rows of 2^{}): {:?}",
             log_n / 2,
@@ -679,55 +432,6 @@ mod tests {
             twiddle_row(row, &table, i2, false);
         }
         println!("one twiddle pass: {:?}", t.elapsed());
-    }
-
-    #[test]
-    fn fast_matches_legacy_goldilocks_direct() {
-        fast_matches_legacy_generic::<Goldilocks>(12);
-    }
-
-    #[test]
-    fn fast_matches_legacy_babybear_direct() {
-        fast_matches_legacy_generic::<BabyBear>(12);
-    }
-
-    #[test]
-    fn fast_matches_legacy_bn254_fallback() {
-        fast_matches_legacy_generic::<Bn254Fr>(9);
-    }
-
-    #[test]
-    fn fast_matches_legacy_across_six_step_threshold() {
-        // Straddle DIRECT_MAX_LOG_N so both the direct and the blocked
-        // six-step path are exercised.
-        for log_n in [DIRECT_MAX_LOG_N, DIRECT_MAX_LOG_N + 1, DIRECT_MAX_LOG_N + 2] {
-            let ntt = Ntt::<Goldilocks>::new(log_n);
-            let input = random_vec::<Goldilocks>(log_n, 7 + log_n as u64);
-
-            let mut legacy = input.clone();
-            with_legacy(|| ntt.forward(&mut legacy));
-            let mut fast = input.clone();
-            with_fast(|| ntt.forward(&mut fast));
-            assert_eq!(fast, legacy, "forward log_n={log_n}");
-
-            let mut round = fast.clone();
-            with_fast(|| ntt.inverse(&mut round));
-            assert_eq!(round, input, "roundtrip log_n={log_n}");
-        }
-    }
-
-    #[test]
-    fn six_step_babybear_roundtrip_and_match() {
-        let log_n = DIRECT_MAX_LOG_N + 1;
-        let ntt = Ntt::<BabyBear>::new(log_n);
-        let input = random_vec::<BabyBear>(log_n, 99);
-        let mut legacy = input.clone();
-        with_legacy(|| ntt.forward(&mut legacy));
-        let mut fast = input.clone();
-        with_fast(|| ntt.forward(&mut fast));
-        assert_eq!(fast, legacy);
-        with_fast(|| ntt.inverse(&mut fast));
-        assert_eq!(fast, input);
     }
 
     #[test]
@@ -748,15 +452,5 @@ mod tests {
             transpose_in_place_square(&mut inplace, n);
             assert_eq!(inplace, crate::transpose(&src, n, n), "n={n}");
         }
-    }
-
-    #[test]
-    fn kernel_mode_switch_roundtrips() {
-        assert_eq!(KernelMode::default(), KernelMode::Vector);
-        for mode in [KernelMode::Legacy, KernelMode::Fast, KernelMode::Vector] {
-            set_kernel_mode(mode);
-            assert_eq!(kernel_mode(), mode);
-        }
-        set_kernel_mode(KernelMode::default());
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! The reference NTT implementations for the UniNTT reproduction:
 //!
-//! * [`Ntt`] — radix-2 DIT/DIF kernels with shared twiddle tables
-//!   (plus a stage-fused radix-4 kernel);
+//! * [`Ntt`] — one host transform path (the vectorized kernels, on the
+//!   lane backend the CPU reports at runtime) plus the radix-2 DIT/DIF
+//!   kernels that serve as its reference, with shared twiddle tables;
 //! * [`FourStepNtt`] — the Bailey `N = N1·N2` decomposition with explicit
 //!   transposes: the algebra the multi-GPU engines build on, and the
 //!   "overhead-ful" formulation UniNTT improves;
@@ -39,9 +40,7 @@ mod negacyclic;
 mod parallel;
 mod poly;
 mod radix2;
-mod radix4;
 mod six_step;
-mod stockham;
 mod twiddle;
 mod vector;
 
@@ -49,7 +48,6 @@ pub use batch::{batch_transform, batch_transform_parallel};
 pub use bitrev::{bit_reverse_permute, bit_reversed, reverse_bits};
 pub use cache::{cache_capacity, set_cache_capacity, shared_table, DEFAULT_CACHE_CAPACITY};
 pub use coset::{coset_intt, coset_ntt, low_degree_extension, standard_shift};
-pub use fast::{kernel_mode, set_kernel_mode, KernelMode};
 pub use negacyclic::{negacyclic_mul_naive, NegacyclicNtt};
 pub use parallel::ParallelNtt;
 pub use poly::{cyclic_convolution, poly_mul_naive, poly_mul_ntt};
@@ -57,6 +55,5 @@ pub use radix2::{naive_dft, Direction, Ntt};
 pub use six_step::{transpose, FourStepNtt};
 pub use twiddle::TwiddleTable;
 pub use vector::{
-    active_backend_label, active_vector_backend, set_vector_backend_override, VectorBackend,
-    VECTOR_DIRECT_MAX_LOG_N,
+    active_backend_label, active_vector_backend, VectorBackend, VECTOR_DIRECT_MAX_LOG_N,
 };

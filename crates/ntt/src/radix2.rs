@@ -2,18 +2,20 @@
 //!
 //! The context owns (shared) twiddle tables and exposes:
 //!
-//! * [`Ntt::forward`] / [`Ntt::inverse`] — natural-order in/out transforms;
+//! * [`Ntt::forward`] / [`Ntt::inverse`] — natural-order in/out transforms
+//!   on the vectorized kernels (see [`crate::vector`]);
 //! * [`Ntt::dit_in_place`] / [`Ntt::dif_in_place`] — the raw
 //!   decimation-in-time (bit-reversed input) and decimation-in-frequency
-//!   (bit-reversed output) kernels, which the hierarchical engines compose;
+//!   (bit-reversed output) kernels, which the hierarchical engines compose
+//!   and which, after [`crate::bit_reverse_permute`], are the radix-2
+//!   reference the vector kernels are tested against;
 //! * [`naive_dft`] — the O(n²) reference every fast path is tested against.
 
 use std::sync::Arc;
 
 use unintt_ff::{Field, TwoAdicField};
 
-use crate::fast::{self, kernel_mode, KernelMode};
-use crate::{bit_reverse_permute, cache, vector, TwiddleTable};
+use crate::{cache, vector, TwiddleTable, VectorBackend};
 
 /// Direction of a transform.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -85,34 +87,17 @@ impl<F: TwoAdicField> Ntt<F> {
         );
     }
 
-    /// Forward NTT, natural order in and out.
-    ///
-    /// Dispatches on the process-wide [`crate::kernel_mode`]: the default
-    /// vectorized path (lane-packed fused butterflies, see
-    /// [`crate::vector`]), the scalar fast path (Shoup/lazy butterflies,
-    /// six-step blocking at large sizes) and the legacy bit-reverse + DIT
-    /// path produce bit-identical output.
+    /// Forward NTT, natural order in and out, on the vectorized kernels
+    /// with the backend the CPU reports at runtime. Bit-identical to the
+    /// radix-2 reference ([`crate::bit_reverse_permute`] then
+    /// [`Ntt::dit_in_place`]).
     ///
     /// # Panics
     ///
     /// Panics if `values.len() != self.n()`.
     pub fn forward(&self, values: &mut [F]) {
-        self.check_len(values.len());
-        match kernel_mode() {
-            KernelMode::Vector => {
-                unintt_telemetry::counter_add("ntt_dispatch_vector", 1);
-                vector::forward_vector(&self.table, values);
-            }
-            KernelMode::Fast => {
-                unintt_telemetry::counter_add("ntt_dispatch_fast", 1);
-                fast::forward_fast(&self.table, values);
-            }
-            KernelMode::Legacy => {
-                unintt_telemetry::counter_add("ntt_dispatch_legacy", 1);
-                bit_reverse_permute(values);
-                self.dit_in_place(values);
-            }
-        }
+        unintt_telemetry::counter_add("ntt_dispatch_vector", 1);
+        self.forward_with_backend(values, VectorBackend::Native);
     }
 
     /// Inverse NTT, natural order in and out (includes the `1/n` scale).
@@ -121,26 +106,29 @@ impl<F: TwoAdicField> Ntt<F> {
     ///
     /// Panics if `values.len() != self.n()`.
     pub fn inverse(&self, values: &mut [F]) {
+        unintt_telemetry::counter_add("ntt_dispatch_vector", 1);
+        self.inverse_with_backend(values, VectorBackend::Native);
+    }
+
+    /// [`Ntt::forward`] on an explicitly chosen lane backend, so tests
+    /// and benches can compare backends without any process-wide state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.n()`.
+    pub fn forward_with_backend(&self, values: &mut [F], backend: VectorBackend) {
         self.check_len(values.len());
-        match kernel_mode() {
-            KernelMode::Vector => {
-                unintt_telemetry::counter_add("ntt_dispatch_vector", 1);
-                vector::inverse_vector(&self.table, values);
-            }
-            KernelMode::Fast => {
-                unintt_telemetry::counter_add("ntt_dispatch_fast", 1);
-                fast::inverse_fast(&self.table, values);
-            }
-            KernelMode::Legacy => {
-                unintt_telemetry::counter_add("ntt_dispatch_legacy", 1);
-                bit_reverse_permute(values);
-                self.dit_in_place_with(values, self.table.inverse());
-                let n_inv = self.table.n_inv();
-                for v in values.iter_mut() {
-                    *v *= n_inv;
-                }
-            }
-        }
+        vector::forward_vector(&self.table, values, backend);
+    }
+
+    /// [`Ntt::inverse`] on an explicitly chosen lane backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.n()`.
+    pub fn inverse_with_backend(&self, values: &mut [F], backend: VectorBackend) {
+        self.check_len(values.len());
+        vector::inverse_vector(&self.table, values, backend);
     }
 
     /// Decimation-in-time kernel: expects **bit-reversed** input, produces
@@ -241,6 +229,7 @@ pub fn naive_dft<F: Field>(input: &[F], omega: F) -> Vec<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bit_reverse_permute;
     use rand::{rngs::StdRng, SeedableRng};
     use unintt_ff::{BabyBear, Bn254Fr, Goldilocks, PrimeField};
 

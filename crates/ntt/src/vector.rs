@@ -1,8 +1,9 @@
-//! Vectorized, runtime-specialized NTT kernels
-//! ([`crate::KernelMode::Vector`], the default).
+//! Vectorized, runtime-specialized NTT kernels: the one host path behind
+//! [`crate::Ntt::forward`] and [`crate::Ntt::inverse`].
 //!
-//! This module is the third kernel family next to `fast` (scalar Shoup)
-//! and the legacy radix-2 DIT path. Three ideas compose:
+//! The legacy radix-2 DIT kernels stay beside it only as the explicit
+//! reference the tests and the E18 gate call by name. Three ideas
+//! compose:
 //!
 //! * **Lane-packed butterflies** — the transform body works on
 //!   `[F; LANES]` register blocks through the const-generic layer on
@@ -10,17 +11,23 @@
 //!   `std::arch` kernels on x86_64 when the CPU reports the feature at
 //!   runtime (`is_x86_feature_detected!`). Both backends compute exact
 //!   canonical residues, so they are bit-identical to each other and to
-//!   the scalar paths.
+//!   the radix-2 reference.
 //! * **Radix-4/8 stage fusion** — two (AVX2) or three (portable) DIF
 //!   butterfly layers run per memory pass with intermediates held in
 //!   registers, halving-to-thirding pass count and twiddle traffic
-//!   relative to the stage-at-a-time scalar loop.
+//!   relative to a stage-at-a-time radix-2 loop.
 //! * **A specialized-plan cache** — [`VectorPlan`] instances are built
-//!   once per `(field, log_n)` (covering both directions and every
-//!   [`KernelMode`] toggle) and memoized in [`crate::cache`]; a plan
-//!   pins its backend choice, pre-extracted native twiddle banks, and
-//!   the bit-reversal pair table, so per-transform dispatch is one enum
-//!   match with no per-stage branching.
+//!   once per `(field, log_n)` (covering both directions) and memoized
+//!   in [`crate::cache`]; a plan pins its native kernel, pre-extracted
+//!   native twiddle banks, and the bit-reversal pair table, so
+//!   per-transform dispatch is one enum match with no per-stage
+//!   branching.
+//!
+//! The backend is an explicit argument all the way down:
+//! [`crate::Ntt::forward`] passes [`VectorBackend::Native`] (the kernel
+//! the CPU reports at runtime), and tests compare it with
+//! [`VectorBackend::Portable`] through
+//! [`crate::Ntt::forward_with_backend`]. No process-wide switch exists.
 //!
 //! AVX2 kernels fuse radix-4 (radix-8 would need >16 ymm live values and
 //! spill); the portable path fuses radix-8 since its "registers" are
@@ -28,62 +35,44 @@
 //! 64×64 product + ε-reduction rather than Shoup (a Shoup product needs
 //! seven `vpmuludq`-class ops against four, and its `[0, 2p)` result
 //! overflows the 64-bit lane), so its twiddle bank stores only the plain
-//! `w` words — half the scalar plan's footprint.
+//! `w` words — half the footprint of the generic Shoup tables.
 
 use std::any::TypeId;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use unintt_ff::{BabyBear, Goldilocks, ShoupTwiddle, TwoAdicField};
 
-use crate::fast::{self, RowPath};
+use crate::fast;
 use crate::twiddle::TwiddleTable;
 use crate::{bit_reverse_permute, cache};
 
 /// Largest `log_n` the direct (single-buffer) vector kernel handles;
-/// larger sizes decompose six-step with vector row transforms. Higher
-/// than the scalar path's threshold because the fused passes are
-/// streaming (sequential loads/stores, no strided gathers), so the
-/// working set can exceed L2 without the pass count paying for it.
+/// larger sizes decompose six-step with vector row transforms. The fused
+/// passes are streaming (sequential loads/stores, no strided gathers),
+/// so the working set can exceed L2 without the pass count paying for
+/// it.
 pub const VECTOR_DIRECT_MAX_LOG_N: u32 = 20;
 
 /// Which lane backend the vector kernels execute on.
+///
+/// As an argument ([`crate::Ntt::forward_with_backend`]), `Native` runs
+/// the kernel the CPU reports at runtime and falls back to portable
+/// lanes where none exists for the field or size; `Portable` always runs
+/// the portable lanes. Outputs are bit-identical on every backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VectorBackend {
-    /// Explicit `std::arch` SIMD (AVX2 on x86_64), selected when the CPU
-    /// reports the feature at runtime and the field has a native kernel.
+    /// Explicit `std::arch` SIMD (AVX-512 or AVX2 on x86_64), selected
+    /// when the CPU reports the feature at runtime and the field has a
+    /// native kernel.
     Native,
     /// The portable const-generic lane path (always available).
     Portable,
 }
 
-/// 0 = auto-detect, 1 = force portable, 2 = prefer native.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Overrides backend selection for [`KernelMode::Vector`] transforms.
-///
-/// `Some(VectorBackend::Portable)` forces the portable lane path even
-/// where AVX2 is available (A/B testing and the bit-identity proptests);
-/// `Some(VectorBackend::Native)` or `None` restore auto-detection (a
-/// native request still falls back to portable where no native kernel
-/// exists). Outputs are bit-identical on every backend.
-pub fn set_vector_backend_override(backend: Option<VectorBackend>) {
-    let enc = match backend {
-        None => 0,
-        Some(VectorBackend::Portable) => 1,
-        Some(VectorBackend::Native) => 2,
-    };
-    BACKEND_OVERRIDE.store(enc, Ordering::Relaxed);
-}
-
-fn portable_forced() -> bool {
-    BACKEND_OVERRIDE.load(Ordering::Relaxed) == 1
-}
-
-/// The backend [`KernelMode::Vector`] transforms over `F` would use for
-/// a size in the direct range (reporting hook for benches and docs).
+/// The backend [`crate::Ntt::forward`] uses for `F` at a size in the
+/// direct range (reporting hook for benches and docs).
 pub fn active_vector_backend<F: TwoAdicField>() -> VectorBackend {
-    if !portable_forced() && native_kernel::<F>(VECTOR_DIRECT_MAX_LOG_N) != NativeKernel::None {
+    if native_kernel::<F>(VECTOR_DIRECT_MAX_LOG_N) != NativeKernel::None {
         VectorBackend::Native
     } else {
         VectorBackend::Portable
@@ -132,13 +121,10 @@ fn native_kernel<F: TwoAdicField>(log_n: u32) -> NativeKernel {
     NativeKernel::None
 }
 
-/// Short human label for the backend the vector path would use for `F`
-/// (reporting hook for benches and docs): `"avx512"`, `"avx2"`, or
+/// Short human label for the backend [`crate::Ntt::forward`] uses for
+/// `F` (reporting hook for benches and docs): `"avx512"`, `"avx2"`, or
 /// `"portable"`.
 pub fn active_backend_label<F: TwoAdicField>() -> &'static str {
-    if portable_forced() {
-        return "portable";
-    }
     match native_kernel::<F>(VECTOR_DIRECT_MAX_LOG_N) {
         NativeKernel::GoldilocksAvx512 => "avx512",
         NativeKernel::GoldilocksAvx2 | NativeKernel::BabyBearAvx2 => "avx2",
@@ -162,7 +148,7 @@ enum NativeBank {
 }
 
 /// One direction's worth of kernel state: generic packed stage tables
-/// (`stages[s-1][j]`, exactly the scalar fast path's layout) plus the
+/// (`stages[s-1][j]`, see [`fast::pack_stages`]) plus the
 /// optional native re-layout.
 struct DirPlan<F: TwoAdicField> {
     stages: Vec<Vec<ShoupTwiddle<F>>>,
@@ -196,7 +182,7 @@ fn build_bank<F: TwoAdicField>(
 
 /// A monomorphized vector-kernel instance for one `(field, log_n)`:
 /// both directions' twiddle banks, the prepared `1/n` constant, the
-/// backend selection, and the bit-reversal pair table (held by `Arc` so
+/// native kernel, and the bit-reversal pair table (held by `Arc` so
 /// the plan keeps working even if every process-wide cache evicts it).
 /// Cached in [`crate::cache::shared_vector_plan`].
 pub(crate) struct VectorPlan<F: TwoAdicField> {
@@ -242,17 +228,16 @@ impl<F: TwoAdicField> VectorPlan<F> {
         self.log_n
     }
 
-    fn active_native(&self) -> NativeKernel {
-        if portable_forced() {
-            NativeKernel::None
-        } else {
-            self.native
+    fn active_native(&self, backend: VectorBackend) -> NativeKernel {
+        match backend {
+            VectorBackend::Native => self.native,
+            VectorBackend::Portable => NativeKernel::None,
         }
     }
 
     /// All DIF stages (no permutation), canonical output.
-    fn run_stages(&self, values: &mut [F], dir: &DirPlan<F>) {
-        match self.active_native() {
+    fn run_stages(&self, values: &mut [F], dir: &DirPlan<F>, backend: VectorBackend) {
+        match self.active_native(backend) {
             #[cfg(target_arch = "x86_64")]
             NativeKernel::GoldilocksAvx2 => {
                 let NativeBank::U64(bank) = &dir.bank else {
@@ -299,14 +284,14 @@ impl<F: TwoAdicField> VectorPlan<F> {
     }
 
     /// Forward transform, natural order in and out, canonical output.
-    pub(crate) fn forward(&self, values: &mut [F]) {
-        self.run_stages(values, &self.fwd);
+    pub(crate) fn forward(&self, values: &mut [F], backend: VectorBackend) {
+        self.run_stages(values, &self.fwd, backend);
         self.apply_bitrev(values);
     }
 
     /// Inverse transform including the `1/n` scale.
-    pub(crate) fn inverse(&self, values: &mut [F]) {
-        self.run_stages(values, &self.inv);
+    pub(crate) fn inverse(&self, values: &mut [F], backend: VectorBackend) {
+        self.run_stages(values, &self.inv, backend);
         self.apply_bitrev(values);
         for v in values.iter_mut() {
             *v = F::reduce_lane(F::shoup_mul(*v, &self.n_inv));
@@ -323,23 +308,31 @@ fn cast_slice_mut<F: 'static, C: 'static>(values: &mut [F]) -> &mut [C] {
     unsafe { &mut *(values as *mut [F] as *mut [C]) }
 }
 
-/// Vector-mode forward NTT for any supported size (natural order in/out).
-pub(crate) fn forward_vector<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
+/// Vector forward NTT for any supported size (natural order in/out).
+pub(crate) fn forward_vector<F: TwoAdicField>(
+    table: &Arc<TwiddleTable<F>>,
+    values: &mut [F],
+    backend: VectorBackend,
+) {
     let log_n = table.log_n();
     if log_n <= VECTOR_DIRECT_MAX_LOG_N {
-        cache::shared_vector_plan::<F>(log_n).forward(values);
+        cache::shared_vector_plan::<F>(log_n).forward(values, backend);
     } else {
-        fast::six_step(table, values, false, RowPath::Vector);
+        fast::six_step(table, values, false, backend);
     }
 }
 
-/// Vector-mode inverse NTT (includes the `1/n` scale).
-pub(crate) fn inverse_vector<F: TwoAdicField>(table: &Arc<TwiddleTable<F>>, values: &mut [F]) {
+/// Vector inverse NTT (includes the `1/n` scale).
+pub(crate) fn inverse_vector<F: TwoAdicField>(
+    table: &Arc<TwiddleTable<F>>,
+    values: &mut [F],
+    backend: VectorBackend,
+) {
     let log_n = table.log_n();
     if log_n <= VECTOR_DIRECT_MAX_LOG_N {
-        cache::shared_vector_plan::<F>(log_n).inverse(values);
+        cache::shared_vector_plan::<F>(log_n).inverse(values, backend);
     } else {
-        fast::six_step(table, values, true, RowPath::Vector);
+        fast::six_step(table, values, true, backend);
     }
 }
 
@@ -359,10 +352,10 @@ fn portable_stages_dispatch<F: TwoAdicField>(
 }
 
 /// Portable all-stages DIF kernel: greedy radix-8 fusion, then a radix-4
-/// or radix-2 remainder, then the canonicalizing final stage. Same lazy
-/// lane semantics as the scalar fast path — each fused group performs
-/// the identical butterflies in the identical order, just with one
-/// memory pass instead of two or three.
+/// or radix-2 remainder, then the canonicalizing final stage. Lazy lane
+/// semantics of [`unintt_ff::ShoupField::dif_butterfly`] — each fused
+/// group performs the identical radix-2 butterflies in the identical
+/// order, just with one memory pass instead of two or three.
 fn portable_stages<F: TwoAdicField, const L: usize>(
     values: &mut [F],
     stages: &[Vec<ShoupTwiddle<F>>],
@@ -1023,10 +1016,17 @@ mod tests {
         (0..1usize << log_n).map(|_| F::random(&mut rng)).collect()
     }
 
-    /// Legacy-path oracle, independent of the process-wide kernel mode.
+    /// The radix-2 reference: bit-reverse, then the DIT kernel.
     fn legacy_forward<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
         bit_reverse_permute(values);
         ntt.dit_in_place(values);
+    }
+
+    /// The radix-2 reference inverse, including the `1/n` scale.
+    fn legacy_inverse<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
+        bit_reverse_permute(values);
+        ntt.inverse_dit_in_place(values);
+        ntt.scale_by_n_inv(values);
     }
 
     fn vector_matches_legacy<F: TwoAdicField>(max_log: u32, seed: u64) {
@@ -1038,11 +1038,11 @@ mod tests {
             let mut expect = input.clone();
             legacy_forward(&ntt, &mut expect);
             let mut got = input.clone();
-            forward_vector(&table, &mut got);
+            forward_vector(&table, &mut got, VectorBackend::Native);
             assert_eq!(got, expect, "forward log_n={log_n}");
 
             let mut round = got;
-            inverse_vector(&table, &mut round);
+            inverse_vector(&table, &mut round, VectorBackend::Native);
             assert_eq!(round, input, "roundtrip log_n={log_n}");
         }
     }
@@ -1062,22 +1062,32 @@ mod tests {
         vector_matches_legacy::<Bn254Fr>(9, 3000);
     }
 
-    #[test]
-    fn vector_six_step_matches_fast_path() {
-        // Straddle the vector direct/six-step threshold.
+    /// Straddles the direct/six-step threshold on both fields, in both
+    /// directions, against the radix-2 reference.
+    fn six_step_matches_legacy<F: TwoAdicField>(seed: u64) {
         for log_n in [VECTOR_DIRECT_MAX_LOG_N, VECTOR_DIRECT_MAX_LOG_N + 1] {
-            let table = cache::shared_table::<Goldilocks>(log_n);
-            let input = random_vec::<Goldilocks>(log_n, 50 + u64::from(log_n));
+            let table = cache::shared_table::<F>(log_n);
+            let ntt = Ntt::<F>::from_table(Arc::clone(&table));
+            let input = random_vec::<F>(log_n, seed + u64::from(log_n));
 
             let mut expect = input.clone();
-            fast::forward_fast(&table, &mut expect);
+            legacy_forward(&ntt, &mut expect);
             let mut got = input.clone();
-            forward_vector(&table, &mut got);
+            forward_vector(&table, &mut got, VectorBackend::Native);
             assert_eq!(got, expect, "forward log_n={log_n}");
 
-            inverse_vector(&table, &mut got);
-            assert_eq!(got, input, "roundtrip log_n={log_n}");
+            let mut expect_inv = got.clone();
+            legacy_inverse(&ntt, &mut expect_inv);
+            assert_eq!(expect_inv, input, "reference roundtrip log_n={log_n}");
+            inverse_vector(&table, &mut got, VectorBackend::Native);
+            assert_eq!(got, expect_inv, "inverse log_n={log_n}");
         }
+    }
+
+    #[test]
+    fn vector_six_step_matches_legacy() {
+        six_step_matches_legacy::<Goldilocks>(50);
+        six_step_matches_legacy::<BabyBear>(70);
     }
 
     #[test]
@@ -1087,14 +1097,11 @@ mod tests {
             let plan = VectorPlan::<Goldilocks>::new(&table);
             let input = random_vec::<Goldilocks>(log_n, 600 + u64::from(log_n));
 
-            set_vector_backend_override(Some(VectorBackend::Portable));
             let mut portable = input.clone();
-            plan.forward(&mut portable);
-            set_vector_backend_override(None);
-
-            let mut auto = input.clone();
-            plan.forward(&mut auto);
-            assert_eq!(auto, portable, "log_n={log_n}");
+            plan.forward(&mut portable, VectorBackend::Portable);
+            let mut native = input.clone();
+            plan.forward(&mut native, VectorBackend::Native);
+            assert_eq!(native, portable, "log_n={log_n}");
         }
     }
 
@@ -1110,9 +1117,14 @@ mod tests {
     fn backend_report_is_consistent() {
         // Whatever the CPU, the reporting hook and the plan agree.
         let plan = VectorPlan::<Goldilocks>::new(&cache::shared_table::<Goldilocks>(8));
+        let native = plan.active_native(VectorBackend::Native);
         match active_vector_backend::<Goldilocks>() {
-            VectorBackend::Native => assert_ne!(plan.active_native(), NativeKernel::None),
-            VectorBackend::Portable => assert_eq!(plan.active_native(), NativeKernel::None),
+            VectorBackend::Native => assert_ne!(native, NativeKernel::None),
+            VectorBackend::Portable => assert_eq!(native, NativeKernel::None),
         }
+        assert_eq!(
+            plan.active_native(VectorBackend::Portable),
+            NativeKernel::None
+        );
     }
 }

@@ -1,23 +1,21 @@
-//! Property tests: the vectorized and scalar Shoup fast paths are
-//! **bit-identical** to the legacy radix-2 reference path, and the
-//! vector kernels' AVX2 and portable backends are bit-identical to each
-//! other.
+//! Property tests: the vectorized host NTT is **bit-identical** to the
+//! legacy radix-2 reference on both lane backends — the one the CPU
+//! reports at runtime and the portable lanes — on both fields and in both
+//! directions.
 //!
 //! The legacy reference is composed here from the public raw kernels
 //! (`bit_reverse_permute` + `dit_in_place`, plus the `1/n` scale for the
-//! inverse) rather than by flipping the process-wide kernel mode, so these
-//! tests compare the code paths directly. Tests that *do* pin the
-//! process-wide kernel mode or vector backend always restore the default
-//! afterwards; every mode and backend produces identical outputs, so a
-//! concurrent test observing the temporary switch still passes.
+//! inverse), and each backend is picked by an explicit argument to
+//! `Ntt::forward_with_backend` / `Ntt::inverse_with_backend`. No test
+//! touches process-wide state, so concurrently running tests cannot
+//! change what another test compares.
 
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_ff::{BabyBear, Field, Goldilocks, TwoAdicField};
-use unintt_ntt::{
-    bit_reverse_permute, set_kernel_mode, set_vector_backend_override, KernelMode, Ntt,
-    VectorBackend,
-};
+use unintt_ntt::{bit_reverse_permute, Ntt, VectorBackend};
+
+const BACKENDS: [VectorBackend; 2] = [VectorBackend::Native, VectorBackend::Portable];
 
 fn random_vec<F: Field>(log_n: u32, seed: u64) -> Vec<F> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,20 +36,12 @@ fn legacy_inverse<F: TwoAdicField>(ntt: &Ntt<F>, values: &mut [F]) {
     ntt.scale_by_n_inv(values);
 }
 
-/// Runs `f` with the process-wide kernel mode pinned, restoring the
-/// default after. Outputs are mode-independent, so concurrent tests
-/// observing the temporary switch still pass.
-fn with_mode<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
-    set_kernel_mode(mode);
-    let r = f();
-    set_kernel_mode(KernelMode::default());
-    r
-}
-
-/// One bit-identity check of a kernel mode against the legacy reference
-/// at a given size/seed, both directions.
-fn check_bitwise_match_mode<F: TwoAdicField>(
-    mode: KernelMode,
+/// One bit-identity check of one backend against the legacy reference
+/// at a given size/seed, both directions. Where no native kernel exists
+/// (non-x86_64, AVX2 absent, or a size below the native tails) the
+/// `Native` request runs the portable lanes, and the check still holds.
+fn check_backend<F: TwoAdicField>(
+    backend: VectorBackend,
     log_n: u32,
     seed: u64,
 ) -> Result<(), String> {
@@ -59,108 +49,52 @@ fn check_bitwise_match_mode<F: TwoAdicField>(
     let input = random_vec::<F>(log_n, seed);
 
     let mut got = input.clone();
-    with_mode(mode, || ntt.forward(&mut got));
+    ntt.forward_with_backend(&mut got, backend);
     let mut legacy = input.clone();
     legacy_forward(&ntt, &mut legacy);
     if got != legacy {
         return Err(format!(
-            "forward {mode:?} mismatch at log_n={log_n} seed={seed}"
+            "forward {backend:?} mismatch at log_n={log_n} seed={seed}"
         ));
     }
 
     let mut got = input.clone();
-    with_mode(mode, || ntt.inverse(&mut got));
+    ntt.inverse_with_backend(&mut got, backend);
     let mut legacy = input;
     legacy_inverse(&ntt, &mut legacy);
     if got != legacy {
         return Err(format!(
-            "inverse {mode:?} mismatch at log_n={log_n} seed={seed}"
+            "inverse {backend:?} mismatch at log_n={log_n} seed={seed}"
         ));
     }
     Ok(())
 }
 
-/// One bit-identity check at a given size/seed, both directions, under
-/// the default (vector) kernels.
+/// Both backends against the legacy reference (and so against each
+/// other), both directions.
 fn check_bitwise_match<F: TwoAdicField>(log_n: u32, seed: u64) -> Result<(), String> {
-    check_bitwise_match_mode::<F>(KernelMode::Vector, log_n, seed)
-}
-
-/// AVX2-vs-portable equality of the vector backend, both directions.
-/// Where no native kernel exists (non-x86_64, AVX2 absent, or an
-/// unsupported field) both runs take the portable path and the check is
-/// trivially true — the assertion stays meaningful without gating.
-fn check_backend_match<F: TwoAdicField>(log_n: u32, seed: u64) -> Result<(), String> {
-    let ntt = Ntt::<F>::new(log_n);
-    let input = random_vec::<F>(log_n, seed);
-    let run = |backend: Option<VectorBackend>, inverse: bool| {
-        set_vector_backend_override(backend);
-        let mut buf = input.clone();
-        with_mode(KernelMode::Vector, || {
-            if inverse {
-                ntt.inverse(&mut buf)
-            } else {
-                ntt.forward(&mut buf)
-            }
-        });
-        set_vector_backend_override(None);
-        buf
-    };
-    for inverse in [false, true] {
-        let portable = run(Some(VectorBackend::Portable), inverse);
-        let auto = run(None, inverse);
-        if portable != auto {
-            return Err(format!(
-                "backend mismatch (inverse={inverse}) at log_n={log_n} seed={seed}"
-            ));
-        }
-    }
-    Ok(())
+    BACKENDS
+        .iter()
+        .try_for_each(|&backend| check_backend::<F>(backend, log_n, seed))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn goldilocks_fast_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
+    fn goldilocks_vector_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
         prop_assert_eq!(check_bitwise_match::<Goldilocks>(log_n, seed), Ok(()));
     }
 
     #[test]
-    fn babybear_fast_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
+    fn babybear_vector_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
         prop_assert_eq!(check_bitwise_match::<BabyBear>(log_n, seed), Ok(()));
     }
 
     #[test]
-    fn goldilocks_scalar_fast_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
-        prop_assert_eq!(
-            check_bitwise_match_mode::<Goldilocks>(KernelMode::Fast, log_n, seed),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn babybear_scalar_fast_matches_legacy(log_n in 1u32..=16, seed in any::<u64>()) {
-        prop_assert_eq!(
-            check_bitwise_match_mode::<BabyBear>(KernelMode::Fast, log_n, seed),
-            Ok(())
-        );
-    }
-
-    #[test]
-    fn goldilocks_backends_match(log_n in 1u32..=14, seed in any::<u64>()) {
-        prop_assert_eq!(check_backend_match::<Goldilocks>(log_n, seed), Ok(()));
-    }
-
-    #[test]
-    fn babybear_backends_match(log_n in 1u32..=14, seed in any::<u64>()) {
-        prop_assert_eq!(check_backend_match::<BabyBear>(log_n, seed), Ok(()));
-    }
-
-    #[test]
-    fn goldilocks_roundtrip_fast_then_legacy_inverse(log_n in 1u32..=12, seed in any::<u64>()) {
-        // Mixed-path round-trip: forward on the fast path, inverse on the
-        // legacy path. Only works because outputs are bit-identical.
+    fn goldilocks_roundtrip_vector_then_legacy_inverse(log_n in 1u32..=12, seed in any::<u64>()) {
+        // Mixed-path round-trip: forward on the vector path, inverse on
+        // the legacy path. Only works because outputs are bit-identical.
         let ntt = Ntt::<Goldilocks>::new(log_n);
         let input = random_vec::<Goldilocks>(log_n, seed);
         let mut data = input.clone();
@@ -171,8 +105,8 @@ proptest! {
 }
 
 /// Deterministic sweep guaranteeing **every** `log_n` in `1..=16` is
-/// exercised for both fields and both directions (the proptest above
-/// samples sizes randomly).
+/// exercised for both fields, both backends and both directions (the
+/// proptests above sample sizes randomly).
 #[test]
 fn every_size_1_to_16_matches_bitwise() {
     for log_n in 1..=16u32 {
@@ -180,16 +114,6 @@ fn every_size_1_to_16_matches_bitwise() {
             check_bitwise_match::<Goldilocks>(log_n, seed).unwrap();
             check_bitwise_match::<BabyBear>(log_n, seed).unwrap();
         }
-    }
-}
-
-/// Deterministic sweep of every size for the scalar fast kernels too.
-#[test]
-fn every_size_1_to_16_scalar_fast_matches_bitwise() {
-    for log_n in 1..=16u32 {
-        let seed = 0xfa57 + u64::from(log_n);
-        check_bitwise_match_mode::<Goldilocks>(KernelMode::Fast, log_n, seed).unwrap();
-        check_bitwise_match_mode::<BabyBear>(KernelMode::Fast, log_n, seed).unwrap();
     }
 }
 
@@ -203,19 +127,6 @@ fn non_power_of_lane_tail_sizes_match_bitwise() {
         for seed in [1u64, 0x7a11 + u64::from(log_n)] {
             check_bitwise_match::<Goldilocks>(log_n, seed).unwrap();
             check_bitwise_match::<BabyBear>(log_n, seed).unwrap();
-            check_backend_match::<Goldilocks>(log_n, seed).unwrap();
-            check_backend_match::<BabyBear>(log_n, seed).unwrap();
         }
-    }
-}
-
-/// AVX2-vs-portable equality at every size through the direct-kernel
-/// range boundary sizes (deterministic counterpart of the proptest).
-#[test]
-fn every_size_backends_match_bitwise() {
-    for log_n in 1..=14u32 {
-        let seed = 0xbacc + u64::from(log_n);
-        check_backend_match::<Goldilocks>(log_n, seed).unwrap();
-        check_backend_match::<BabyBear>(log_n, seed).unwrap();
     }
 }

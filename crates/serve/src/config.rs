@@ -3,7 +3,6 @@
 
 use unintt_core::{CommMode, RecoveryPolicy};
 use unintt_gpu_sim::{FaultRates, InterferenceModel};
-use unintt_ntt::KernelMode;
 
 /// How the dispatcher orders ready batches when a lease frees up.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -103,19 +102,13 @@ pub struct ServiceConfig {
     /// against compute; [`CommMode::Blocking`] is the legacy schedule.
     /// Outputs are bit-identical either way; only simulated time moves.
     pub comm_mode: CommMode,
-    /// Host-side NTT kernel family for the real transforms behind each
-    /// dispatch ([`KernelMode::Vector`] by default). Bit-identical across
-    /// modes; only host wall time changes.
-    pub kernel_mode: KernelMode,
     /// Compute queues per lease for [`crate::JobClass::ProveDag`] stage
     /// dispatch, `1..=4`. At `1` (the default) the service takes the
     /// historical serialized code path; at `2..=4` stages of *different*
     /// resource classes ([`unintt_gpu_sim::ResourceClass`]) co-reside on
     /// one lease and both advance under the `interference` slowdown,
     /// while same-class stages still serialize. Outputs are bit-identical
-    /// at every setting — only simulated clocks move. The process-wide
-    /// [`unintt_core::set_streams_override`] (harness `--serial-streams`)
-    /// takes precedence over this field.
+    /// at every setting — only simulated clocks move.
     pub streams_per_lease: usize,
     /// Pairwise slowdown factors applied to co-resident stages when
     /// `streams_per_lease > 1`.
@@ -144,7 +137,6 @@ impl Default for ServiceConfig {
             fault_rates: None,
             verify_outputs: true,
             comm_mode: CommMode::Overlapped,
-            kernel_mode: KernelMode::default(),
             streams_per_lease: 1,
             interference: InterferenceModel::default_model(),
             force_stream_loop: false,
@@ -166,7 +158,6 @@ mod tests {
         assert!(cfg.dispatch_overhead_ns > 0.0);
         assert_eq!(cfg.policy, SchedulerPolicy::Fifo);
         assert_eq!(cfg.comm_mode, CommMode::Overlapped);
-        assert_eq!(cfg.kernel_mode, KernelMode::Vector);
         assert_eq!(cfg.streams_per_lease, 1, "serialized dispatch by default");
         assert_eq!(cfg.interference, InterferenceModel::default_model());
         assert!(!cfg.force_stream_loop);

@@ -262,26 +262,3 @@ fn per_queue_spans_reconcile_with_stage_accounting() {
     assert!(registry.gauges.contains_key("sim_stream_occupancy"));
     assert!(registry.gauges.contains_key("sim_stream_occupancy_peak"));
 }
-
-/// The `--serial-streams` override beats the configured queue count (it
-/// exists so one harness flag can force every experiment back to the
-/// serialized schedule). Installed and cleared inside one test so the
-/// process-wide state never leaks into concurrent tests — this is the
-/// only test in this binary touching it.
-#[test]
-fn serial_streams_override_wins_over_config() {
-    let stream = dag_stream(31, 10, 40_000.0);
-    let serial = run_with(ServiceConfig::default(), &stream);
-    unintt_core::set_streams_override(Some(1));
-    let overridden = run_with(
-        ServiceConfig {
-            streams_per_lease: 4,
-            ..ServiceConfig::default()
-        },
-        &stream,
-    );
-    unintt_core::set_streams_override(None);
-    assert_eq!(serial.outcomes, overridden.outcomes);
-    assert_eq!(serial.metrics, overridden.metrics);
-    assert_eq!(serial.stage_ns, overridden.stage_ns);
-}

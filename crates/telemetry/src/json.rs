@@ -1,7 +1,7 @@
 //! A minimal JSON parser plus a Chrome-trace schema check.
 //!
-//! The workspace's vendored `serde` is a no-op marker stub and there is
-//! no `serde_json`, so validating the emitted trace needs a real parser.
+//! The workspace has no JSON library (it builds offline against a few
+//! vendored stubs), so validating the emitted trace needs a real parser.
 //! This one covers the full JSON grammar the exporters produce (objects,
 //! arrays, strings with escapes, numbers, booleans, null) — enough for a
 //! round-trip structural check, which is what the CI smoke test wants.

@@ -11,13 +11,12 @@
 //! `permutation.rs` — this is full PLONK arithmetization).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use unintt_ff::{Bn254Fr, Field, PrimeField};
 
 use crate::permutation::{Cell, Column, WirePermutation};
 
 /// Selector values of one gate row.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Gate {
     /// Left-wire selector.
     pub q_l: Bn254Fr,
@@ -72,7 +71,7 @@ impl Gate {
 }
 
 /// Wire assignments for a circuit: one `(a, b, c)` triple per row.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Witness {
     /// Left wires.
     pub a: Vec<Bn254Fr>,
@@ -96,7 +95,7 @@ impl Witness {
 
 /// A circuit: a list of gates (padded to a power of two) plus copy
 /// constraints between wire cells.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Circuit {
     gates: Vec<Gate>,
     copies: Vec<(Cell, Cell)>,

@@ -14,13 +14,12 @@
 //! where `id_j(x) = k_j·x` labels cell `(j, i)` with `k_j·ωⁱ` and the
 //! three `k_j` place the columns on pairwise-disjoint cosets of `H`.
 
-use serde::{Deserialize, Serialize};
 use unintt_ff::{batch_inverse, Bn254Fr, Field, PrimeField};
 
 use crate::Polynomial;
 
 /// A wire column.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Column {
     /// Left wires.
     A,
@@ -45,7 +44,7 @@ impl Column {
 }
 
 /// A wire cell: `(column, row)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Cell {
     /// Which wire column.
     pub column: Column,
@@ -74,7 +73,7 @@ pub fn column_shifts() -> [Bn254Fr; 3] {
 }
 
 /// The permutation over the `3n` wire cells, built from equality classes.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WirePermutation {
     n: usize,
     /// `sigma[flat(cell)] = flat(σ(cell))`.
