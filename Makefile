@@ -4,9 +4,9 @@
 # Whole workspace except the vendored offline stubs under vendor/.
 EXCLUDE_VENDOR := --exclude criterion --exclude proptest --exclude rand
 
-.PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
+.PHONY: verify fmt clippy build bench-check test e13 e14 e15 serve-smoke trace-smoke chaos-smoke kernel-smoke msm-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
 
-verify: fmt clippy build bench-check test kernel-smoke e13 serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
+verify: fmt clippy build bench-check test kernel-smoke msm-smoke e13 serve-smoke e15 trace-smoke chaos-smoke pipeline-smoke stream-smoke slo-smoke perf-gate
 
 fmt:
 	cargo fmt --all --check
@@ -62,6 +62,15 @@ kernel-smoke:
 	cargo test --release -p unintt-ntt --test shoup_properties
 	cargo run --release -p unintt-bench --bin harness -- --quick e18
 	test -s BENCH_ntt.json
+
+# MSM smoke: the placement-plan suite (the planned charge is the cheaper
+# of split and one-device, results match the naive and Pippenger
+# oracles, the functional and cost-only paths charge identical clocks
+# and stats), then the quick E8 cell, which asserts verified,
+# bit-identical PLONK proofs on the status-quo and UniNTT backends.
+msm-smoke:
+	cargo test --release -p unintt-msm
+	cargo run --release -p unintt-bench --bin harness -- --quick e8
 
 # Pipeline smoke: the DAG bit-identity proptests (DAG-scheduled proofs
 # vs monolithic across seeds, sizes and injected stage faults), then the

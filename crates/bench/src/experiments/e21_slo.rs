@@ -26,7 +26,7 @@ use std::fmt::Write as _;
 use unintt_core::{UniNttEngine, UniNttOptions};
 use unintt_ff::Goldilocks;
 use unintt_gpu_sim::{presets, FieldSpec, Machine, Topology};
-use unintt_msm::simulate_multi_gpu_msm;
+use unintt_msm::simulate_planned_msm;
 use unintt_ntt::Direction;
 use unintt_serve::{
     AttributionRow, ChaosEvent, ChaosKind, ChaosPlan, FleetConfig, FleetReport, FleetService,
@@ -392,7 +392,7 @@ fn attribution_cells() -> Vec<AttrCell> {
 
     // Multi-GPU MSM: Pippenger bucket accumulation is arithmetic-heavy.
     let mut msm_machine = Machine::new(presets::a100_nvlink(4), FieldSpec::bn254_fr());
-    simulate_multi_gpu_msm(&mut msm_machine, 1u64 << 20);
+    simulate_planned_msm(&mut msm_machine, 1u64 << 20);
     cells.push(AttrCell {
         row: AttributionRow::from_machine("msm/a100x4-nvlink", &msm_machine),
         expected: Verdict::ComputeBound,

@@ -9,13 +9,15 @@
 //! * **projected** rows (production-scale circuits): the same prover
 //!   operation mix — 4 iNTT(n), 13 coset NTT(4n), 1 iNTT(4n), 7 MSMs —
 //!   charged through the cost-only simulation paths (which tests keep in
-//!   lock-step with the functional paths).
+//!   lock-step with the functional paths). Both sections place each MSM
+//!   by the same plan ([`unintt_msm::plan_msm`]): split over the GPUs or
+//!   run on one, whichever the cost model charges less.
 
 use rand::{rngs::StdRng, SeedableRng};
 use unintt_core::{single_gpu, UniNttEngine, UniNttOptions};
 use unintt_ff::Bn254Fr;
 use unintt_gpu_sim::{presets, FieldSpec, Machine, MachineConfig};
-use unintt_msm::simulate_multi_gpu_msm;
+use unintt_msm::simulate_planned_msm;
 use unintt_zkp::{prove, random_circuit, setup, verify, Backend};
 
 use crate::report::{fmt_ns, Table};
@@ -43,7 +45,7 @@ fn projected(log_rows: u32, ntt_cfg: &MachineConfig, msm_cfg: &MachineConfig) ->
     let mut msm_machine = Machine::new(msm_cfg.clone(), fs);
     let n = 1u64 << log_rows;
     for size in [n, n, n, n, 3 * n, 3 * n, n] {
-        simulate_multi_gpu_msm(&mut msm_machine, size);
+        simulate_planned_msm(&mut msm_machine, size);
     }
     (ntt_machine.max_clock_ns(), msm_machine.max_clock_ns())
 }

@@ -773,8 +773,7 @@ impl Machine {
         }
         if d > 1 {
             self.ensure_all_alive()?;
-            let rounds = (d as f64).log2().ceil();
-            let base_ns = rounds * self.model().p2p_ns(elem_bytes as u64);
+            let base_ns = self.model().tree_ns(elem_bytes as u64);
             let (seq, fault) = self.take_fault_decision();
             let fault = self.apply_pre_fault(seq, fault, base_ns)?;
             self.charge_collective("reduce-to-root", base_ns, elem_bytes as u64, d as u32 - 1);
@@ -843,8 +842,7 @@ impl Machine {
         let d = self.num_devices();
         if d > 1 {
             self.ensure_all_alive()?;
-            let rounds = (d as f64).log2().ceil();
-            let base_ns = rounds * self.model().p2p_ns(elem_bytes as u64);
+            let base_ns = self.model().tree_ns(elem_bytes as u64);
             let (seq, fault) = self.take_fault_decision();
             let fault = self.apply_pre_fault(seq, fault, base_ns)?;
             self.charge_collective("broadcast", base_ns, elem_bytes as u64, d as u32 - 1);

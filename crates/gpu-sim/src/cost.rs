@@ -205,6 +205,25 @@ impl CostModel {
         }
     }
 
+    /// Fabric latency a machine-wide barrier adds (none on one GPU).
+    pub fn barrier_ns(&self) -> f64 {
+        if self.num_gpus > 1 {
+            self.interconnect.latency_ns
+        } else {
+            0.0
+        }
+    }
+
+    /// Time for a `ceil(log2 D)`-round binomial tree of `bytes`-sized
+    /// point-to-point transfers (reduce-to-root, broadcast); zero on one
+    /// GPU.
+    pub fn tree_ns(&self, bytes: u64) -> f64 {
+        if self.num_gpus <= 1 {
+            return 0.0;
+        }
+        (self.num_gpus as f64).log2().ceil() * self.p2p_ns(bytes)
+    }
+
     /// Time for a point-to-point transfer of `bytes` (worst-case pair:
     /// cross-node on hierarchical fabrics).
     pub fn p2p_ns(&self, bytes: u64) -> f64 {

@@ -144,16 +144,33 @@ impl Machine {
         f(&mut ctx, shard);
     }
 
+    /// Runs a closure on a single device once the whole machine is idle:
+    /// the device's clock first advances to the makespan
+    /// ([`Machine::max_clock_ns`]). Unlike [`Machine::barrier`] this
+    /// charges no fabric latency and moves no other clock: the host
+    /// already holds every earlier result, so the work may not start any
+    /// earlier and no message crosses the fabric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is out of range.
+    pub fn on_device_at_makespan<T, F>(&mut self, device: usize, shard: &mut T, f: F)
+    where
+        F: FnOnce(&mut DeviceCtx<'_>, &mut T),
+    {
+        assert!(device < self.num_devices(), "device index out of range");
+        let start = self.max_clock_ns();
+        let state = &mut self.devices[device];
+        state.clock_ns = state.clock_ns.max(start);
+        self.on_device(device, shard, f);
+    }
+
     /// Synchronizes all device clocks to the maximum (plus one fabric
     /// latency), like a `cudaDeviceSynchronize` across the machine.
     /// Dead devices stay frozen at their time of death.
     pub fn barrier(&mut self) {
         let max = self.max_clock_ns();
-        let latency = if self.num_devices() > 1 {
-            self.cfg.interconnect.latency_ns
-        } else {
-            0.0
-        };
+        let latency = self.model.barrier_ns();
         for d in &mut self.devices {
             if d.alive {
                 d.clock_ns = max + latency;
@@ -440,6 +457,24 @@ mod tests {
         assert_eq!(shards[3], vec![16; 8]);
         assert_eq!(m.stats().kernels_launched, 4);
         assert!(m.max_clock_ns() > 0.0);
+    }
+
+    #[test]
+    fn on_device_at_makespan_starts_after_every_device_without_latency() {
+        let mut m = machine(4);
+        let mut p = KernelProfile::named("work");
+        p.global_bytes_read = 1 << 20;
+        m.on_device(2, &mut (), |ctx, _| {
+            ctx.launch(&p);
+        });
+        let makespan = m.max_clock_ns();
+        m.on_device_at_makespan(0, &mut (), |ctx, _| {
+            ctx.launch(&p);
+        });
+        let kernel_ns = m.model().kernel_cost(&p).total_ns;
+        assert_eq!(m.devices[0].clock_ns, makespan + kernel_ns);
+        assert_eq!(m.devices[1].clock_ns, 0.0, "idle devices stay put");
+        assert_eq!(m.devices[2].clock_ns, makespan);
     }
 
     #[test]

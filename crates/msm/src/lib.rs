@@ -7,8 +7,9 @@
 //!   (`y² = x³ + 3` over Fq, group order = Fr modulus);
 //! * [`msm`] / [`msm_with_window`] — Pippenger's bucket method, plus the
 //!   [`msm_naive`] oracle;
-//! * [`multi_gpu_msm`] — embarrassingly parallel MSM on the
-//!   [`unintt_gpu_sim::Machine`] simulator, with cost profiles.
+//! * [`planned_msm`] — MSM on the [`unintt_gpu_sim::Machine`] simulator,
+//!   split over every GPU ([`multi_gpu_msm`]) or run on one, whichever
+//!   [`plan_msm`] finds the cost model charges less.
 //!
 //! ```
 //! use unintt_ff::{Bn254Fr, Field, PrimeField};
@@ -30,7 +31,9 @@ mod multi_gpu;
 mod pippenger;
 
 pub use curve::{curve_b, G1Affine, G1Projective};
-pub use multi_gpu::{msm_kernel_profile, multi_gpu_msm, simulate_multi_gpu_msm};
+pub use multi_gpu::{
+    msm_kernel_profile, multi_gpu_msm, plan_msm, planned_msm, simulate_planned_msm, MsmPlacement,
+};
 pub use pippenger::{
     msm, msm_naive, msm_parallel, msm_parallel_with_window, msm_signed, msm_signed_with_window,
     msm_with_window, optimal_window_bits, pippenger_group_ops, pippenger_signed_group_ops,
